@@ -18,8 +18,15 @@ fn bench_gk_eps(c: &mut Criterion) {
     for eps in [0.1f64, 0.2] {
         group.bench_function(format!("eps={eps}"), |b| {
             b.iter(|| {
-                let sol = mcf::solve(&net, &commodities, &mcf::PathMode::AnyPath, eps);
-                black_box(sol.lambda)
+                let opts = mcf::McfOptions::default();
+                let sol = mcf::try_solve_with_options(
+                    &net,
+                    &commodities,
+                    &mcf::PathMode::AnyPath,
+                    eps,
+                    opts,
+                );
+                black_box(sol.expect("valid instance must solve").lambda)
             })
         });
     }
@@ -31,8 +38,8 @@ fn bench_gk_explicit_paths(c: &mut Criterion) {
     let commodities = commodity::permutation(&tm::random_permutation(128, 3));
     c.bench_function("ksp-16 multipath throughput, k=8 fat tree x2", |b| {
         b.iter(|| {
-            let (t, _) = throughput::ksp_multipath_throughput(&net, &commodities, 16, 0.15);
-            black_box(t)
+            let sol = throughput::ksp_multipath_throughput(&net, &commodities, 16, 0.15);
+            black_box(sol.expect("valid instance must solve").0)
         })
     });
 }

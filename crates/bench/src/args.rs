@@ -70,6 +70,15 @@ impl Args {
     }
 }
 
+/// The value of a solver `result`, or — on a typed rejection such as a bad
+/// `--eps` — `<what> failed: <error>` on stderr and exit status 1.
+pub fn or_exit<T, E: std::fmt::Display>(what: &str, result: Result<T, E>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{what} failed: {e}");
+        std::process::exit(1)
+    })
+}
+
 /// Parse sizes with k/m/g suffixes ("100k" = 100_000).
 pub fn parse_size(s: &str) -> u64 {
     let lower = s.to_ascii_lowercase();

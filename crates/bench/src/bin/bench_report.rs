@@ -60,7 +60,7 @@
 //! htsim: 16 ToRs x 2 hosts, 100 KB flows) for a CI smoke run; explicit
 //! size flags still override it.
 
-use pnet_bench::{banner, f3, Args};
+use pnet_bench::{banner, f3, or_exit, Args};
 use pnet_flowsim::{commodity, mcf, Commodity};
 use pnet_htsim::reference::RefSimulator;
 use pnet_htsim::{
@@ -290,7 +290,7 @@ fn timed_mcf(
     par: Parallelism,
 ) -> (f64, mcf::McfSolution) {
     let t0 = Instant::now();
-    let sol = mcf::solve_with_options(
+    let sol = mcf::try_solve_with_options(
         net,
         commodities,
         &mcf::PathMode::AnyPath,
@@ -300,7 +300,7 @@ fn timed_mcf(
             ..Default::default()
         },
     );
-    (t0.elapsed().as_secs_f64() * 1e3, sol)
+    (t0.elapsed().as_secs_f64() * 1e3, or_exit("GK solve", sol))
 }
 
 fn main() {
@@ -892,7 +892,7 @@ fn run_churn_scenario(
 
             let (cold_mcf_ms, cold) = timed_mcf(&net, commodities, eps, Parallelism::Serial);
             let t0 = Instant::now();
-            let warm = mcf::solve_warm_with_options(
+            let warm = mcf::try_solve_warm_with_options(
                 &net,
                 commodities,
                 &mcf::PathMode::AnyPath,
@@ -903,6 +903,7 @@ fn run_churn_scenario(
                 },
                 &last_sol,
             );
+            let warm = or_exit("warm GK solve", warm);
             let warm_mcf_ms = t0.elapsed().as_secs_f64() * 1e3;
             let lambda_rel_err = ((warm.lambda - cold.lambda) / cold.lambda).abs();
             assert!(

@@ -14,7 +14,7 @@
 //! Usage: `exp_fig6 [--k 8] [--seed 1] [--eps 0.1] [--ksweep 1,2,4,8,16,32]
 //!                  [--csv]`
 
-use pnet_bench::{banner, f3, Args, Table};
+use pnet_bench::{banner, f3, or_exit, Args, Table};
 use pnet_flowsim::{commodity, throughput, Commodity};
 use pnet_topology::{assemble_homogeneous, FatTree, LinkProfile, Network};
 use pnet_workloads::tm;
@@ -88,8 +88,10 @@ fn main() {
     let base = LinkProfile::paper_default();
     let ft = FatTree::three_tier(k);
     let serial = assemble_homogeneous(&ft, 1, &base);
-    let (serial_sat, _) =
-        throughput::ksp_multipath_throughput(&serial, &perm, *ksweep.last().unwrap() as usize, eps);
+    let (serial_sat, _) = or_exit(
+        "KSP multipath solve",
+        throughput::ksp_multipath_throughput(&serial, &perm, *ksweep.last().unwrap() as usize, eps),
+    );
 
     let mut header = vec!["K".to_string()];
     header.extend(sweep_nets.iter().map(|(n, _)| n.clone()));
@@ -100,7 +102,10 @@ fn main() {
         let mut row = vec![kk.to_string()];
         for (col, (_, n_planes)) in sweep_nets.iter().enumerate() {
             let net = assemble_homogeneous(&ft, *n_planes, &base);
-            let (t, _) = throughput::ksp_multipath_throughput(&net, &perm, kk as usize, eps);
+            let (t, _) = or_exit(
+                "KSP multipath solve",
+                throughput::ksp_multipath_throughput(&net, &perm, kk as usize, eps),
+            );
             let norm = t / serial_sat;
             let target = 0.95 * *n_planes as f64;
             let mark = if norm >= target && saturated[col].is_none() {

@@ -14,7 +14,7 @@
 //! Usage: `exp_fig8 [--tors 32] [--degree 6] [--hosts-per-tor 4] [--seed 1]
 //!                  [--eps 0.1] [--ksweep 1,2,4,8,16,32] [--csv]`
 
-use pnet_bench::{banner, f3, Args, Table};
+use pnet_bench::{banner, f3, or_exit, Args, Table};
 use pnet_flowsim::{commodity, throughput, Commodity};
 use pnet_topology::{parallel, Jellyfish, LinkProfile, Network, NetworkClass};
 use pnet_workloads::tm;
@@ -60,8 +60,14 @@ fn main() {
     let mut base_a2a = 0.0;
     let mut base_perm = 0.0;
     for (i, (name, net)) in nets.iter().enumerate() {
-        let (t_a2a, _) = throughput::ksp_multipath_throughput(net, &a2a, 8, eps);
-        let (t_perm, _) = throughput::ksp_multipath_throughput(net, &perm, 8, eps);
+        let (t_a2a, _) = or_exit(
+            "KSP multipath solve",
+            throughput::ksp_multipath_throughput(net, &a2a, 8, eps),
+        );
+        let (t_perm, _) = or_exit(
+            "KSP multipath solve",
+            throughput::ksp_multipath_throughput(net, &perm, 8, eps),
+        );
         if i == 0 {
             base_a2a = t_a2a;
             base_perm = t_perm;
@@ -83,8 +89,10 @@ fn main() {
     );
 
     let serial = build(NetworkClass::SerialLow, 1);
-    let (serial_sat, _) =
-        throughput::ksp_multipath_throughput(&serial, &perm, *ksweep.last().unwrap() as usize, eps);
+    let (serial_sat, _) = or_exit(
+        "KSP multipath solve",
+        throughput::ksp_multipath_throughput(&serial, &perm, *ksweep.last().unwrap() as usize, eps),
+    );
 
     let sweep: Vec<(String, NetworkClass, usize)> = vec![
         ("serial low-bw".into(), NetworkClass::SerialLow, 1),
@@ -107,7 +115,10 @@ fn main() {
         let mut row = vec![kk.to_string()];
         for (col, (_, class, n)) in sweep.iter().enumerate() {
             let net = build(*class, *n);
-            let (t, _) = throughput::ksp_multipath_throughput(&net, &perm, kk as usize, eps);
+            let (t, _) = or_exit(
+                "KSP multipath solve",
+                throughput::ksp_multipath_throughput(&net, &perm, kk as usize, eps),
+            );
             let norm = t / serial_sat;
             let mark = if norm >= 0.95 * *n as f64 && saturated[col].is_none() {
                 saturated[col] = Some(kk);

@@ -9,5 +9,5 @@ pub mod args;
 pub mod report;
 pub mod setups;
 
-pub use args::Args;
+pub use args::{or_exit, Args};
 pub use report::{banner, f3, human_bytes, min_index_total, pct, Table};

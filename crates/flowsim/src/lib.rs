@@ -18,11 +18,14 @@
 //! use pnet_flowsim::{commodity, throughput};
 //! use pnet_topology::{assemble_homogeneous, FatTree, LinkProfile};
 //!
+//! # fn main() -> Result<(), pnet_flowsim::McfError> {
 //! let net = assemble_homogeneous(&FatTree::three_tier(4), 2, &LinkProfile::paper_default());
 //! let perm: Vec<usize> = (0..16).map(|i| (i + 8) % 16).collect();
 //! let commodities = commodity::permutation(&perm);
-//! let (total, lambda) = throughput::ksp_multipath_throughput(&net, &commodities, 16, 0.1);
+//! let (total, lambda) = throughput::ksp_multipath_throughput(&net, &commodities, 16, 0.1)?;
 //! assert!(total > 0.0 && lambda > 0.0);
+//! # Ok(())
+//! # }
 //! ```
 
 pub mod commodity;

@@ -43,7 +43,7 @@ pub struct McfSolution {
     pub rates: Vec<f64>,
     /// The final multiplicative-weights length vector (one entry per
     /// directed link). This is the solver's dual profile: feeding it to
-    /// [`solve_warm_with_options`] after a link delta re-solves from this
+    /// [`try_solve_warm_with_options`] after a link delta re-solves from this
     /// point instead of from the uniform δ/cₑ start.
     pub length: Vec<f64>,
 }
@@ -133,9 +133,16 @@ impl std::fmt::Display for McfError {
 
 impl std::error::Error for McfError {}
 
-/// Shared input validation of the checked entry points: everything the
-/// panicking solvers assert about their arguments, as a value.
-fn validate_inputs(commodities: &[Commodity], mode: &PathMode, eps: f64) -> Result<(), McfError> {
+/// Input validation of both entry points, in precedence order: `eps`, the
+/// commodity set, the path table, then (warm starts only) the previous
+/// solution.
+fn validate_inputs(
+    net: &Network,
+    commodities: &[Commodity],
+    mode: &PathMode,
+    eps: f64,
+    warm: Option<&McfSolution>,
+) -> Result<(), McfError> {
     if !(eps > 0.0 && eps < 0.5) {
         return Err(McfError::InvalidEps { eps });
     }
@@ -160,6 +167,18 @@ fn validate_inputs(commodities: &[Commodity], mode: &PathMode, eps: f64) -> Resu
             }
         }
     }
+    if let Some(warm) = warm {
+        if warm.lambda.is_nan() || warm.lambda <= 0.0 {
+            return Err(McfError::NonPositiveWarmLambda);
+        }
+        // pnet-tidy: allow(D3) -- usize arena-length comparison, not a float read
+        if warm.length.len() != net.n_links() {
+            return Err(McfError::WarmArenaMismatch {
+                expected: net.n_links(),
+                got: warm.length.len(),
+            });
+        }
+    }
     Ok(())
 }
 
@@ -179,44 +198,12 @@ pub struct McfOptions {
     pub parallelism: Parallelism,
 }
 
-/// Solve max concurrent flow. `eps` trades accuracy for speed (the result is
-/// ≥ (1−O(eps))·OPT; 0.05–0.15 are sensible).
-///
-/// # Panics
-/// If a commodity has an empty or no allowed path (`Explicit` mode) — the
-/// caller should filter unroutable commodities first (λ would be 0).
-pub fn solve(net: &Network, commodities: &[Commodity], mode: &PathMode, eps: f64) -> McfSolution {
-    solve_with_options(net, commodities, mode, eps, McfOptions::default())
-}
-
-/// [`solve`] with explicit [`McfOptions`].
-pub fn solve_with_options(
-    net: &Network,
-    commodities: &[Commodity],
-    mode: &PathMode,
-    eps: f64,
-    opts: McfOptions,
-) -> McfSolution {
-    let checked = try_solve_with_options(net, commodities, mode, eps, opts);
-    if let Err(e) = &checked {
-        assert!(checked.is_ok(), "{e}");
-    }
-    checked.expect("invariant: asserted Ok above")
-}
-
-/// [`solve`] returning a typed error instead of panicking on bad inputs —
-/// the entry point for services whose queries are not pre-validated.
-pub fn try_solve(
-    net: &Network,
-    commodities: &[Commodity],
-    mode: &PathMode,
-    eps: f64,
-) -> Result<McfSolution, McfError> {
-    try_solve_with_options(net, commodities, mode, eps, McfOptions::default())
-}
-
-/// [`solve_with_options`] returning a typed [`McfError`] instead of
-/// panicking on bad inputs.
+/// Solve max concurrent flow from the uniform δ/cₑ start. `eps` trades
+/// accuracy for speed (the result is ≥ (1−O(eps))·OPT; 0.05–0.15 are
+/// sensible). Bad inputs — `eps` outside (0, 0.5), no commodities, a
+/// non-positive demand, a commodity without a route (an empty `Explicit`
+/// path set, or no plane connecting its endpoints), no capacitated route at
+/// all — come back as a typed [`McfError`], never as a panic.
 pub fn try_solve_with_options(
     net: &Network,
     commodities: &[Commodity],
@@ -224,64 +211,7 @@ pub fn try_solve_with_options(
     eps: f64,
     opts: McfOptions,
 ) -> Result<McfSolution, McfError> {
-    validate_inputs(commodities, mode, eps)?;
-
-    let mut caps = link_capacities(net);
-    if opts.host_links_free {
-        for (id, l) in net.links() {
-            if l.up && (net.node(l.src).kind.is_host() || net.node(l.dst).kind.is_host()) {
-                caps[id.index()] = f64::INFINITY;
-            }
-        }
-    }
-    let m = caps.iter().filter(|&&c| c > 0.0 && c.is_finite()).count() as f64;
-
-    // One oracle for the whole solve: plane graphs and the host-uplink cache
-    // are shared between demand pre-scaling and the phase loop.
-    let oracle = AnyPathOracle::new(net);
-
-    // --- Demand pre-scaling so that OPT λ' is Θ(1). -----------------------
-    // Lower bound: route every commodity on a shortest allowed path and
-    // scale by the resulting congestion.
-    let seed_routes = shortest_routes_unit(net, commodities, mode, opts.parallelism, &oracle);
-    let mut seed_load = vec![0.0f64; caps.len()];
-    for (c, route) in commodities.iter().zip(&seed_routes) {
-        for &l in route {
-            seed_load[l.index()] += c.demand;
-        }
-    }
-    let seed_congestion = seed_load
-        .iter()
-        .zip(&caps)
-        .filter(|&(_, &c)| c > 0.0)
-        .map(|(&f, &c)| f / c)
-        .fold(0.0f64, f64::max);
-    if seed_congestion.is_nan() || seed_congestion <= 0.0 {
-        return Err(McfError::NoFeasibleFlow);
-    }
-    let lambda_lb = 1.0 / seed_congestion;
-    let scale = lambda_lb; // demands multiplied by this => OPT' in [1, ...]
-
-    // --- Fleischer phases. -------------------------------------------------
-    let delta = (m / (1.0 - eps)).powf(-1.0 / eps);
-    let length: Vec<f64> = caps
-        .iter()
-        .map(|&c| if c > 0.0 { delta / c } else { f64::INFINITY })
-        .collect();
-    let d_sum: f64 = m * delta; // Σ cₑ·ℓₑ over usable links
-    Ok(gk_core(
-        net,
-        commodities,
-        mode,
-        eps,
-        opts,
-        &caps,
-        &oracle,
-        scale,
-        length,
-        d_sum,
-        false,
-    ))
+    solve_from(net, commodities, mode, eps, opts, None)
 }
 
 /// Relative λ tolerance the warm-started solver is held to against a cold
@@ -312,17 +242,6 @@ pub const WARM_LAMBDA_TOLERANCE: f64 = 0.10;
 /// [`WARM_LAMBDA_TOLERANCE`] cross-check holds the result to the cold answer.
 pub const WARM_PHASE_BUDGET: f64 = 16.0;
 
-/// [`solve`] warm-started from a previous solution's length profile.
-pub fn solve_warm(
-    net: &Network,
-    commodities: &[Commodity],
-    mode: &PathMode,
-    eps: f64,
-    warm: &McfSolution,
-) -> McfSolution {
-    solve_warm_with_options(net, commodities, mode, eps, McfOptions::default(), warm)
-}
-
 /// Re-solve max concurrent flow after a link delta, warm-started from
 /// `warm` (a solution for the *same network arena* — same link ids — under
 /// the previous link state; the current state is read from `net`).
@@ -344,35 +263,9 @@ pub fn solve_warm(
 /// the phase count). Feasibility is unconditional (the final congestion
 /// rescale), and near-optimality is asserted against a cold re-solve by the
 /// churn tests and the reconvergence benchmark.
-pub fn solve_warm_with_options(
-    net: &Network,
-    commodities: &[Commodity],
-    mode: &PathMode,
-    eps: f64,
-    opts: McfOptions,
-    warm: &McfSolution,
-) -> McfSolution {
-    let checked = try_solve_warm_with_options(net, commodities, mode, eps, opts, warm);
-    if let Err(e) = &checked {
-        assert!(checked.is_ok(), "{e}");
-    }
-    checked.expect("invariant: asserted Ok above")
-}
-
-/// [`solve_warm`] returning a typed [`McfError`] instead of panicking on
-/// bad inputs or a mismatched warm profile.
-pub fn try_solve_warm(
-    net: &Network,
-    commodities: &[Commodity],
-    mode: &PathMode,
-    eps: f64,
-    warm: &McfSolution,
-) -> Result<McfSolution, McfError> {
-    try_solve_warm_with_options(net, commodities, mode, eps, McfOptions::default(), warm)
-}
-
-/// [`solve_warm_with_options`] returning a typed [`McfError`] instead of
-/// panicking.
+///
+/// Rejects everything [`try_solve_with_options`] rejects, and then a `warm`
+/// with a non-positive λ or from a different network arena.
 pub fn try_solve_warm_with_options(
     net: &Network,
     commodities: &[Commodity],
@@ -381,10 +274,21 @@ pub fn try_solve_warm_with_options(
     opts: McfOptions,
     warm: &McfSolution,
 ) -> Result<McfSolution, McfError> {
-    validate_inputs(commodities, mode, eps)?;
-    if warm.lambda.is_nan() || warm.lambda <= 0.0 {
-        return Err(McfError::NonPositiveWarmLambda);
-    }
+    solve_from(net, commodities, mode, eps, opts, Some(warm))
+}
+
+/// The prologue both entry points share — validation, the capacity vector,
+/// the oracle, the demand pre-scale — then the start point (uniform when
+/// `warm` is `None`, the carried profile otherwise) and the phase loop.
+fn solve_from(
+    net: &Network,
+    commodities: &[Commodity],
+    mode: &PathMode,
+    eps: f64,
+    opts: McfOptions,
+    warm: Option<&McfSolution>,
+) -> Result<McfSolution, McfError> {
+    validate_inputs(net, commodities, mode, eps, warm)?;
 
     let mut caps = link_capacities(net);
     if opts.host_links_free {
@@ -394,26 +298,25 @@ pub fn try_solve_warm_with_options(
             }
         }
     }
-    // pnet-tidy: allow(D3) -- usize arena-length comparison, not a float read
-    if warm.length.len() != caps.len() {
-        return Err(McfError::WarmArenaMismatch {
-            expected: caps.len(),
-            got: warm.length.len(),
-        });
-    }
     let m = caps.iter().filter(|&&c| c > 0.0 && c.is_finite()).count() as f64;
+
+    // One oracle for the whole solve: plane graphs and the host-uplink cache
+    // are shared between demand pre-scaling and the phase loop.
     let oracle = AnyPathOracle::new(net);
 
-    // Demand pre-scale: the same shortest-path seeding as the cold solver,
-    // run against the *current* topology. The previous λ is tempting but
-    // wrong here — after a capacity-reducing delta it overshoots the new
-    // optimum, every phase then grows lengths too aggressively, and the run
-    // terminates in far fewer phases than the budget intends, too coarse to
-    // hit the λ tolerance. A fresh λ lower bound keeps OPT' ≥ 1 exactly as
-    // in the cold run, so the warm phase count lands near cold/B; the
-    // seeding pass costs one unit-length route per commodity, noise next to
-    // the phases it preserves.
-    let seed_routes = shortest_routes_unit(net, commodities, mode, opts.parallelism, &oracle);
+    // --- Demand pre-scaling so that OPT λ' is Θ(1). -----------------------
+    // Lower bound: route every commodity on a shortest allowed path and
+    // scale by the resulting congestion.
+    //
+    // A warm run reruns this against the *current* topology. The previous λ
+    // is tempting but wrong there — after a capacity-reducing delta it
+    // overshoots the new optimum, every phase then grows lengths too
+    // aggressively, and the run terminates in far fewer phases than the
+    // budget intends, too coarse to hit the λ tolerance. A fresh λ lower
+    // bound keeps OPT' ≥ 1 exactly as in the cold run, so the warm phase
+    // count lands near cold/B; the seeding pass costs one unit-length route
+    // per commodity, noise next to the phases it preserves.
+    let seed_routes = shortest_routes_unit(net, commodities, mode, opts.parallelism, &oracle)?;
     let mut seed_load = vec![0.0f64; caps.len()];
     for (c, route) in commodities.iter().zip(&seed_routes) {
         for &l in route {
@@ -429,14 +332,45 @@ pub fn try_solve_warm_with_options(
     if seed_congestion.is_nan() || seed_congestion <= 0.0 {
         return Err(McfError::NoFeasibleFlow);
     }
-    let scale = 1.0 / seed_congestion;
+    let scale = 1.0 / seed_congestion; // demands multiplied by this => OPT' in [1, ...]
 
+    // --- Fleischer start point. ---------------------------------------------
+    let delta = (m / (1.0 - eps)).powf(-1.0 / eps);
+    let (length, d_sum) = match warm {
+        // Uniform: every usable link at δ/cₑ, so Σ cₑ·ℓₑ over them is m·δ.
+        None => {
+            let length = caps
+                .iter()
+                .map(|&c| if c > 0.0 { delta / c } else { f64::INFINITY })
+                .collect();
+            (length, m * delta)
+        }
+        Some(w) => warm_start(&caps, m, delta, &w.length),
+    };
+    Ok(gk_core(
+        net,
+        commodities,
+        mode,
+        eps,
+        opts,
+        &caps,
+        &oracle,
+        scale,
+        length,
+        d_sum,
+        warm.is_some(),
+    ))
+}
+
+/// The warm start from the previous solution's length profile `prev` (see
+/// [`try_solve_warm_with_options`]) given the cold start's `delta_cold`,
+/// with its length mass.
+fn warm_start(caps: &[f64], m: f64, delta_cold: f64, prev: &[f64]) -> (Vec<f64>, f64) {
     // The cold run walks the total length mass Σ cₑ·ℓₑ from m·δ up to 1; the
     // phase count is proportional to those multiplicative decades. Start the
     // warm run at the B-th root of the cold start mass — the same decades
     // divided by WARM_PHASE_BUDGET — rather than at δ^(1/B) per link, which
     // would land within a small factor of 1 and leave almost no phases.
-    let delta_cold = (m / (1.0 - eps)).powf(-1.0 / eps);
     let delta_w = (m * delta_cold).powf(1.0 / WARM_PHASE_BUDGET) / m;
     // A previous length is carried iff it is a real dual value for a link
     // that is still capacitated: finite and positive. Restored links show up
@@ -455,13 +389,13 @@ pub fn try_solve_warm_with_options(
     let root = 1.0 / WARM_PHASE_BUDGET;
     let carried_mass: f64 = caps
         .iter()
-        .zip(&warm.length)
+        .zip(prev)
         .filter(|&(&c, &w)| c > 0.0 && c.is_finite() && w > 0.0 && w.is_finite())
         .map(|(&c, &w)| (c * w).powf(root))
         .sum();
     let n_fresh = caps
         .iter()
-        .zip(&warm.length)
+        .zip(prev)
         .filter(|&(&c, &w)| c > 0.0 && c.is_finite() && !(w > 0.0 && w.is_finite()))
         .count();
     let carried = m - n_fresh as f64;
@@ -473,7 +407,7 @@ pub fn try_solve_warm_with_options(
     let mut d_sum = 0.0f64;
     let length: Vec<f64> = caps
         .iter()
-        .zip(&warm.length)
+        .zip(prev)
         .map(|(&c, &w)| {
             if c <= 0.0 {
                 f64::INFINITY
@@ -490,26 +424,13 @@ pub fn try_solve_warm_with_options(
             }
         })
         .collect();
-
-    Ok(gk_core(
-        net,
-        commodities,
-        mode,
-        eps,
-        opts,
-        &caps,
-        &oracle,
-        scale,
-        length,
-        d_sum,
-        true,
-    ))
+    (length, d_sum)
 }
 
 /// The shared Fleischer phase loop + congestion rescale: everything after
 /// the start point (`length`, its mass `d_sum`, and the demand pre-scale) is
-/// chosen — [`solve_with_options`] passes the uniform δ/cₑ start,
-/// [`solve_warm_with_options`] the rescaled previous profile.
+/// chosen — a cold solve passes the uniform δ/cₑ start, a warm one the
+/// rescaled previous profile.
 #[allow(clippy::too_many_arguments)]
 fn gk_core(
     net: &Network,
@@ -654,14 +575,18 @@ fn gk_core(
                             route.extend_from_slice(best_explicit(&paths[i], &length));
                         }
                         PathMode::AnyPath => {
-                            let p = oracle.best_route_into(
-                                net,
-                                commodities[i].src,
-                                commodities[i].dst,
-                                &phase_trees[si],
-                                &length,
-                                &mut route,
-                            );
+                            let p = oracle
+                                .best_route_into(
+                                    net,
+                                    commodities[i].src,
+                                    commodities[i].dst,
+                                    &phase_trees[si],
+                                    &length,
+                                    &mut route,
+                                )
+                                .expect(
+                                    "invariant: seeding found a plane connecting every commodity",
+                                );
                             // Routes longer than uplink + downlink grow
                             // fabric lengths: plane p's trees go stale.
                             // Record exactly which fabric links grow so
@@ -743,16 +668,17 @@ fn gk_core(
 /// Shortest allowed route per commodity under unit lengths (used for demand
 /// pre-scaling). Explicit mode: fewest links among candidates. AnyPath:
 /// BFS-shortest across planes, with one tree bundle per *unique* source
-/// computed in parallel rather than one per commodity.
+/// computed in parallel rather than one per commodity; a commodity no plane
+/// connects under the current link state is [`McfError::UnroutableCommodity`].
 fn shortest_routes_unit(
     net: &Network,
     commodities: &[Commodity],
     mode: &PathMode,
     par: Parallelism,
     oracle: &AnyPathOracle,
-) -> Vec<Vec<LinkId>> {
+) -> Result<Vec<Vec<LinkId>>, McfError> {
     match mode {
-        PathMode::Explicit(paths) => paths
+        PathMode::Explicit(paths) => Ok(paths
             .iter()
             .map(|cands| {
                 cands
@@ -761,7 +687,7 @@ fn shortest_routes_unit(
                     .expect("invariant: every commodity has a non-empty candidate path set")
                     .clone()
             })
-            .collect(),
+            .collect()),
         PathMode::AnyPath => {
             let unit: Vec<f64> = net.links().map(|_| 1.0).collect();
             let mut sources: Vec<u32> = commodities.iter().map(|c| c.src.0).collect();
@@ -785,11 +711,14 @@ fn shortest_routes_unit(
             });
             commodities
                 .iter()
-                .map(|c| {
+                .enumerate()
+                .map(|(index, c)| {
                     let si = sources
                         .binary_search(&c.src.0)
                         .expect("invariant: sources holds every commodity source host");
-                    oracle.best_route(net, c.src, c.dst, &trees[si], &unit)
+                    oracle
+                        .best_route(net, c.src, c.dst, &trees[si], &unit)
+                        .ok_or(McfError::UnroutableCommodity { index })
                 })
                 .collect()
         }
@@ -1169,7 +1098,8 @@ impl AnyPathOracle {
 
     /// Best full route `src -> dst` across all planes given precomputed
     /// trees, written into `route` (cleared first); returns the chosen
-    /// plane's index. Falls back across planes where a host lacks an uplink.
+    /// plane's index, or `None` (route untouched) when no plane connects
+    /// the endpoints. Falls back across planes where a host lacks an uplink.
     fn best_route_into(
         &self,
         net: &Network,
@@ -1178,7 +1108,7 @@ impl AnyPathOracle {
         trees: &PlaneTrees,
         length: &[f64],
         route: &mut Vec<LinkId>,
-    ) -> usize {
+    ) -> Option<usize> {
         let dst_rack = net.rack_of_host(dst);
         let mut best: Option<(f64, usize)> = None;
         for (p, (dist, _)) in trees.trees.iter().enumerate() {
@@ -1197,7 +1127,7 @@ impl AnyPathOracle {
                 best = Some((total, p));
             }
         }
-        let (_, p) = best.expect("invariant: some plane connects every commodity's endpoints");
+        let (_, p) = best?;
         let pg = &self.planes[p];
         let (_, parent) = &trees.trees[p];
         // Backtrack the fabric portion, then reverse in place within the
@@ -1223,7 +1153,7 @@ impl AnyPathOracle {
                 .expect("invariant: the chosen plane has an uplink for the destination host")
                 .reverse(),
         );
-        p
+        Some(p)
     }
 
     /// Allocating wrapper over [`AnyPathOracle::best_route_into`].
@@ -1234,16 +1164,16 @@ impl AnyPathOracle {
         dst: HostId,
         trees: &PlaneTrees,
         length: &[f64],
-    ) -> Vec<LinkId> {
+    ) -> Option<Vec<LinkId>> {
         let mut route = Vec::new();
-        self.best_route_into(net, src, dst, trees, length, &mut route);
-        route
+        self.best_route_into(net, src, dst, trees, length, &mut route)?;
+        Some(route)
     }
 }
 
-/// Convenience: the paths of a [`pnet_routing::Path`] set expanded to full
-/// host routes for one commodity.
-pub fn expand_host_routes(
+/// The paths of a [`pnet_routing::Path`] set expanded to full host routes
+/// for one commodity.
+fn expand_host_routes(
     net: &Network,
     src: HostId,
     dst: HostId,
@@ -1255,21 +1185,11 @@ pub fn expand_host_routes(
         .collect()
 }
 
-/// Helper bundling router + commodity list into explicit K-path mode across
-/// all planes (the MPTCP + KSP configuration). Candidate-set construction
-/// fans out across commodities.
-pub fn ksp_mode(
-    net: &Network,
-    router: &pnet_routing::Router,
-    commodities: &[Commodity],
-    k: usize,
-) -> PathMode {
-    ksp_mode_with(net, router, commodities, k, Parallelism::default())
-}
-
-/// [`ksp_mode`] with an explicit execution strategy. Each commodity's
+/// Explicit K-path mode across all planes (the MPTCP + KSP configuration):
+/// each commodity may split over its K best paths. Each commodity's
 /// candidate set is a pure function of the frozen router tables and the
-/// commodity index, so parallel construction is element-identical to serial.
+/// commodity index, so construction fans out across commodities under
+/// `par` and stays element-identical to serial.
 pub fn ksp_mode_with(
     net: &Network,
     router: &pnet_routing::Router,
@@ -1305,18 +1225,9 @@ pub fn ksp_mode_with(
     PathMode::Explicit(paths)
 }
 
-/// Helper: single hash-selected ECMP path per commodity (plane by hash, then
+/// Single hash-selected ECMP path per commodity (plane by hash, then
 /// equal-cost path by hash), the paper's naive P-Net ECMP. Candidate-set
-/// construction fans out across commodities.
-pub fn ecmp_mode(
-    net: &Network,
-    router: &pnet_routing::Router,
-    commodities: &[Commodity],
-) -> PathMode {
-    ecmp_mode_with(net, router, commodities, Parallelism::default())
-}
-
-/// [`ecmp_mode`] with an explicit execution strategy.
+/// construction fans out across commodities under `par`.
 pub fn ecmp_mode_with(
     net: &Network,
     router: &pnet_routing::Router,
@@ -1377,20 +1288,62 @@ mod tests {
 
     const EPS: f64 = 0.05;
 
+    /// Cold solve with default options; panics on a rejected instance.
+    fn cold_solve(net: &Network, c: &[Commodity], mode: &PathMode, eps: f64) -> McfSolution {
+        try_solve_with_options(net, c, mode, eps, McfOptions::default())
+            .expect("valid instance must solve")
+    }
+
+    /// Warm re-solve from `prev` with default options; panics on a rejected
+    /// instance.
+    fn warm_solve(
+        net: &Network,
+        c: &[Commodity],
+        mode: &PathMode,
+        eps: f64,
+        prev: &McfSolution,
+    ) -> McfSolution {
+        try_solve_warm_with_options(net, c, mode, eps, McfOptions::default(), prev)
+            .expect("valid warm instance must solve")
+    }
+
+    /// The 1-plane k=4 fat tree most tests solve on.
+    fn fat_tree() -> Network {
+        assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default())
+    }
+
+    /// One instance through both entry points: cold, and warm from a valid
+    /// solution on the healthy [`fat_tree`] arena, so both must answer alike.
+    fn both(
+        net: &Network,
+        c: &[Commodity],
+        mode: &PathMode,
+        eps: f64,
+    ) -> [Result<McfSolution, McfError>; 2] {
+        let unit = [Commodity::unit(HostId(0), HostId(15))];
+        let prev = cold_solve(&fat_tree(), &unit, &PathMode::AnyPath, EPS);
+        let opts = McfOptions::default();
+        [
+            try_solve_with_options(net, c, mode, eps, opts),
+            try_solve_warm_with_options(net, c, mode, eps, opts, &prev),
+        ]
+    }
+
     /// Regression (PR 9): `eps` outside (0, 0.5) must surface as a typed
     /// error, never as a NaN δ = (m/(1−ε))^(−1/ε) silently corrupting the
     /// phase loop. Pre-fix the only guard was an `assert!` panic and no
     /// checked entry point existed.
     #[test]
     fn bad_eps_is_a_typed_error() {
-        let net = assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default());
+        let net = fat_tree();
         let c = vec![Commodity::unit(HostId(0), HostId(15))];
         for eps in [0.0, -0.1, 0.5, 1.0, 2.0, f64::NAN, f64::INFINITY] {
-            let got = try_solve(&net, &c, &PathMode::AnyPath, eps);
-            assert!(
-                matches!(got, Err(McfError::InvalidEps { .. })),
-                "eps {eps} must be rejected, got {got:?}"
-            );
+            for got in both(&net, &c, &PathMode::AnyPath, eps) {
+                assert!(
+                    matches!(got, Err(McfError::InvalidEps { .. })),
+                    "eps {eps} must be rejected, got {got:?}"
+                );
+            }
             // The degenerate δ the guard exists for: outside (0, 0.5) the
             // Fleischer start value is NaN, 0, or ≥ 1 — all garbage.
             let m = 10.0f64;
@@ -1400,66 +1353,75 @@ mod tests {
                 "delta {delta} for eps {eps} would have been accepted"
             );
         }
-        // Warm variant enforces the same contract.
-        let warm = solve(&net, &c, &PathMode::AnyPath, EPS);
-        let got = try_solve_warm(&net, &c, &PathMode::AnyPath, 1.0, &warm);
-        assert!(matches!(got, Err(McfError::InvalidEps { .. })));
         // In-range eps still solves.
-        let ok = try_solve(&net, &c, &PathMode::AnyPath, EPS);
-        assert!(ok.is_ok());
+        for got in both(&net, &c, &PathMode::AnyPath, EPS) {
+            assert!(got.is_ok(), "{got:?}");
+        }
     }
 
     #[test]
     fn degenerate_inputs_are_typed_errors() {
-        let net = assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default());
+        let net = fat_tree();
         let c = vec![Commodity::unit(HostId(0), HostId(15))];
-        assert!(matches!(
-            try_solve(&net, &[], &PathMode::AnyPath, EPS),
-            Err(McfError::NoCommodities)
-        ));
         let mut bad = c.clone();
         bad[0].demand = f64::NAN;
-        assert!(matches!(
-            try_solve(&net, &bad, &PathMode::AnyPath, EPS),
-            Err(McfError::InvalidDemand { index: 0 })
-        ));
-        assert!(matches!(
-            try_solve(&net, &c, &PathMode::Explicit(vec![Vec::new()]), EPS),
-            Err(McfError::UnroutableCommodity { index: 0 })
-        ));
-        assert!(matches!(
-            try_solve(&net, &c, &PathMode::Explicit(Vec::new()), EPS),
-            Err(McfError::PathTableMismatch {
-                paths: 0,
-                commodities: 1
-            })
-        ));
-        let warm = solve(&net, &c, &PathMode::AnyPath, EPS);
-        let mut stale = warm.clone();
+        let cases = [
+            (Vec::new(), PathMode::AnyPath, McfError::NoCommodities),
+            (bad, PathMode::AnyPath, McfError::InvalidDemand { index: 0 }),
+            (
+                c.clone(),
+                PathMode::Explicit(vec![Vec::new()]),
+                McfError::UnroutableCommodity { index: 0 },
+            ),
+            (
+                c.clone(),
+                PathMode::Explicit(Vec::new()),
+                McfError::PathTableMismatch {
+                    paths: 0,
+                    commodities: 1,
+                },
+            ),
+        ];
+        for (cs, mode, want) in &cases {
+            for got in both(&net, cs, mode, EPS) {
+                assert_eq!(got.err(), Some(*want), "{mode:?}");
+            }
+        }
+        // AnyPath: with every fabric cable down, no plane connects the pair.
+        let mut cut = net.clone();
+        for cable in pnet_topology::failures::fabric_cables(&net, None) {
+            pnet_topology::failures::fail_cable(&mut cut, cable);
+        }
+        for got in both(&cut, &c, &PathMode::AnyPath, EPS) {
+            assert_eq!(got.err(), Some(McfError::UnroutableCommodity { index: 0 }));
+        }
+
+        // Warm-only rejections, and their precedence: input errors first,
+        // then the previous λ, then the arena.
+        let opts = McfOptions::default();
+        let warm = |eps: f64, prev: &McfSolution| {
+            try_solve_warm_with_options(&net, &c, &PathMode::AnyPath, eps, opts, prev).err()
+        };
+        let prev = cold_solve(&net, &c, &PathMode::AnyPath, EPS);
+        let mut stale = prev.clone();
         stale.length.pop();
         assert!(matches!(
-            try_solve_warm(&net, &c, &PathMode::AnyPath, EPS, &stale),
-            Err(McfError::WarmArenaMismatch { .. })
+            warm(EPS, &stale),
+            Some(McfError::WarmArenaMismatch { .. })
         ));
-        let mut dead = warm.clone();
+        let mut dead = stale.clone();
         dead.lambda = 0.0;
-        assert!(matches!(
-            try_solve_warm(&net, &c, &PathMode::AnyPath, EPS, &dead),
-            Err(McfError::NonPositiveWarmLambda)
-        ));
-        // The checked and panicking paths agree on good inputs.
-        let a = solve(&net, &c, &PathMode::AnyPath, EPS);
-        let b = try_solve(&net, &c, &PathMode::AnyPath, EPS).expect("valid instance must solve");
-        assert_eq!(a.lambda.to_bits(), b.lambda.to_bits());
+        assert_eq!(warm(EPS, &dead), Some(McfError::NonPositiveWarmLambda));
+        assert_eq!(warm(0.0, &dead), Some(McfError::InvalidEps { eps: 0.0 }));
     }
 
     #[test]
     fn single_pair_gets_link_rate() {
         // Two hosts in different racks of a 1-plane fat tree; only
         // commodity. λ·d should equal one link rate (100G).
-        let net = assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default());
+        let net = fat_tree();
         let c = vec![Commodity::unit(HostId(0), HostId(15))];
-        let sol = solve(&net, &c, &PathMode::AnyPath, EPS);
+        let sol = cold_solve(&net, &c, &PathMode::AnyPath, EPS);
         let rate = sol.rates[0];
         assert!(
             (rate - gbps(100) as f64).abs() / (gbps(100) as f64) < 3.0 * EPS,
@@ -1471,12 +1433,12 @@ mod tests {
     fn uplink_is_the_bottleneck_for_fan_out() {
         // One source sending to 4 destinations: the source's single 100G
         // uplink caps total at 100G, so λ·d = 25G each.
-        let net = assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default());
+        let net = fat_tree();
         let c: Vec<Commodity> = [4u32, 8, 12, 15]
             .iter()
             .map(|&d| Commodity::unit(HostId(0), HostId(d)))
             .collect();
-        let sol = solve(&net, &c, &PathMode::AnyPath, EPS);
+        let sol = cold_solve(&net, &c, &PathMode::AnyPath, EPS);
         for &r in &sol.rates {
             assert!((r - 25e9).abs() / 25e9 < 4.0 * EPS, "rates {:?}", sol.rates);
         }
@@ -1486,7 +1448,7 @@ mod tests {
     fn two_planes_double_the_pair_rate() {
         let net = assemble_homogeneous(&FatTree::three_tier(4), 2, &LinkProfile::paper_default());
         let c = vec![Commodity::unit(HostId(0), HostId(15))];
-        let sol = solve(&net, &c, &PathMode::AnyPath, EPS);
+        let sol = cold_solve(&net, &c, &PathMode::AnyPath, EPS);
         assert!(
             (sol.rates[0] - 200e9).abs() / 200e9 < 3.0 * EPS,
             "rate {} not ~200G",
@@ -1501,8 +1463,8 @@ mod tests {
         let net = assemble_homogeneous(&FatTree::three_tier(4), 2, &LinkProfile::paper_default());
         let router = Router::new(&net, RouteAlgo::Ksp { k: 1 });
         let c = vec![Commodity::unit(HostId(0), HostId(15))];
-        let mode = ksp_mode(&net, &router, &c, 1);
-        let sol = solve(&net, &c, &mode, EPS);
+        let mode = ksp_mode_with(&net, &router, &c, 1, Parallelism::Serial);
+        let sol = cold_solve(&net, &c, &mode, EPS);
         assert!(
             (sol.rates[0] - 100e9).abs() / 100e9 < 3.0 * EPS,
             "rate {}",
@@ -1518,7 +1480,7 @@ mod tests {
             &LinkProfile::paper_default(),
         );
         let c = commodity::all_to_all(8);
-        let sol = solve(&net, &c, &PathMode::AnyPath, 0.1);
+        let sol = cold_solve(&net, &c, &PathMode::AnyPath, 0.1);
         let caps = link_capacities(&net);
         for (f, c) in sol.link_flow.iter().zip(&caps) {
             assert!(f <= &(c * 1.000001 + 1.0), "infeasible link flow");
@@ -1530,7 +1492,7 @@ mod tests {
     fn permutation_fat_tree_full_bisection_with_ecmp_paths() {
         // k=4 fat tree is non-blocking: a permutation routed over ALL
         // equal-cost paths (splittable) achieves the full 100G per host.
-        let net = assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default());
+        let net = fat_tree();
         let router = Router::new(&net, RouteAlgo::Ecmp { cap: 16 });
         // Cross-pod cyclic shift permutation: host i -> (i + 8) mod 16.
         let perm: Vec<usize> = (0..16).map(|i| (i + 8) % 16).collect();
@@ -1543,7 +1505,7 @@ mod tests {
                 expand_host_routes(&net, cm.src, cm.dst, &set)
             })
             .collect();
-        let sol = solve(&net, &c, &PathMode::Explicit(paths), EPS);
+        let sol = cold_solve(&net, &c, &PathMode::Explicit(paths), EPS);
         let per_host = sol.rates[0];
         assert!(
             per_host > 0.85 * 100e9,
@@ -1560,11 +1522,11 @@ mod tests {
             &LinkProfile::paper_default(),
         );
         let c = commodity::all_to_all(8);
-        let base = solve(&net, &c, &PathMode::AnyPath, 0.1);
+        let base = cold_solve(&net, &c, &PathMode::AnyPath, 0.1);
         let cable = failures::fabric_cables(&net, None)[2];
         failures::fail_cable(&mut net, cable);
-        let cold = solve(&net, &c, &PathMode::AnyPath, 0.1);
-        let warm = solve_warm(&net, &c, &PathMode::AnyPath, 0.1, &base);
+        let cold = cold_solve(&net, &c, &PathMode::AnyPath, 0.1);
+        let warm = warm_solve(&net, &c, &PathMode::AnyPath, 0.1, &base);
         assert!(
             (warm.lambda - cold.lambda).abs() <= WARM_LAMBDA_TOLERANCE * cold.lambda,
             "warm λ {} vs cold λ {}",
@@ -1596,11 +1558,11 @@ mod tests {
         failures::fail_cable(&mut net, cable);
         let c = commodity::all_to_all(8);
         // Base solve sees the cable down: its length is ∞ in the profile.
-        let base = solve(&net, &c, &PathMode::AnyPath, 0.1);
+        let base = cold_solve(&net, &c, &PathMode::AnyPath, 0.1);
         assert!(base.length[cable.index()].is_infinite());
         failures::restore_cable(&mut net, cable);
-        let cold = solve(&net, &c, &PathMode::AnyPath, 0.1);
-        let warm = solve_warm(&net, &c, &PathMode::AnyPath, 0.1, &base);
+        let cold = cold_solve(&net, &c, &PathMode::AnyPath, 0.1);
+        let warm = warm_solve(&net, &c, &PathMode::AnyPath, 0.1, &base);
         assert!(
             (warm.lambda - cold.lambda).abs() <= WARM_LAMBDA_TOLERANCE * cold.lambda,
             "warm λ {} vs cold λ {} after restore",
@@ -1613,7 +1575,7 @@ mod tests {
 
     #[test]
     fn lambda_matches_min_rate_ratio() {
-        let net = assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default());
+        let net = fat_tree();
         let c = vec![
             Commodity {
                 src: HostId(0),
@@ -1626,7 +1588,7 @@ mod tests {
                 demand: 2.0,
             },
         ];
-        let sol = solve(&net, &c, &PathMode::AnyPath, EPS);
+        let sol = cold_solve(&net, &c, &PathMode::AnyPath, EPS);
         // λ = min_i rate_i / d_i by definition.
         let expect = (sol.rates[0] / 1.0).min(sol.rates[1] / 2.0);
         assert!((sol.lambda - expect).abs() <= expect * 1e-9);

@@ -9,31 +9,25 @@
 //! * [`ksp_multipath_throughput`] — each flow may split over the K globally
 //!   shortest paths across all planes (the MPTCP + KSP configuration),
 //!   solved as max concurrent flow.
-//! * [`ideal_throughput`] — no path constraint (Figure 7), max concurrent
-//!   flow with a free per-plane shortest-path oracle.
+//! * free routing (Figure 7) — call [`mcf::try_solve_with_options`] with
+//!   [`PathMode::AnyPath`], and `host_links_free` for the rack-level core.
 //!
-//! All functions return *total* delivered rate in bits per second; the
+//! Both drivers return *total* delivered rate in bits per second; the
 //! experiment binaries normalize against the serial low-bandwidth network as
 //! in the paper ("throughput normalized against serial low-bandwidth").
 
 use crate::commodity::Commodity;
 use crate::maxmin;
-use crate::mcf::{self, PathMode};
-use pnet_routing::{RouteAlgo, Router};
+use crate::mcf::{self, McfError, McfOptions, McfSolution, PathMode};
+use pnet_routing::{Parallelism, RouteAlgo, Router};
 use pnet_topology::Network;
 
 /// Total throughput of hash-based single-path ECMP under max-min fairness.
 pub fn ecmp_throughput(net: &Network, commodities: &[Commodity]) -> f64 {
     let router = Router::new(net, RouteAlgo::Ecmp { cap: 64 });
-    ecmp_throughput_with(net, &router, commodities)
-}
-
-/// As [`ecmp_throughput`], but pinned to a caller-provided ECMP router —
-/// the snapshot entry point: no router is built here, so concurrent
-/// queries against the same topology generation share one path table.
-pub fn ecmp_throughput_with(net: &Network, router: &Router, commodities: &[Commodity]) -> f64 {
-    let mode = mcf::ecmp_mode(net, router, commodities);
-    let PathMode::Explicit(paths) = mode else {
+    let PathMode::Explicit(paths) =
+        mcf::ecmp_mode_with(net, &router, commodities, Parallelism::default())
+    else {
         unreachable!()
     };
     let routes: Vec<Vec<pnet_topology::LinkId>> =
@@ -44,93 +38,38 @@ pub fn ecmp_throughput_with(net: &Network, router: &Router, commodities: &[Commo
 
 /// Total throughput when every flow may split across its K best paths
 /// (merged across planes), via max concurrent flow. Returns
-/// `(total_rate, lambda)`.
+/// `(total_rate, lambda)`, or the solver's [`McfError`] for a bad `eps` or
+/// a `k` that leaves a commodity without a path.
 pub fn ksp_multipath_throughput(
     net: &Network,
     commodities: &[Commodity],
     k: usize,
     eps: f64,
-) -> (f64, f64) {
+) -> Result<(f64, f64), McfError> {
     // The router computes a wider per-plane candidate set than K so that
     // per-flow hash rotation has equal-cost alternatives to spread over
-    // (see `mcf::ksp_mode`).
+    // (see `mcf::ksp_mode_with`).
     let wide = (2 * k).max(8);
     let router = Router::new(net, RouteAlgo::Ksp { k: wide });
-    let sol = ksp_solution_with(
-        net,
-        &router,
-        commodities,
-        k,
-        eps,
-        mcf::McfOptions::default(),
-    );
-    (sol.total_rate(), sol.lambda)
+    let sol = try_ksp_solution(net, &router, commodities, k, eps, McfOptions::default())?;
+    Ok((sol.total_rate(), sol.lambda))
 }
 
-/// Full KSP-multipath solution against a caller-provided router snapshot.
-/// The planner's generation entry point: the router's tables must already
+/// Full KSP-multipath solution against a caller-provided router snapshot —
+/// the planner's generation entry point. The router's tables must already
 /// reflect `net`, and `k` must not exceed the router's per-plane width.
-pub fn ksp_solution_with(
-    net: &Network,
-    router: &Router,
-    commodities: &[Commodity],
-    k: usize,
-    eps: f64,
-    opts: mcf::McfOptions,
-) -> mcf::McfSolution {
-    let mode = mcf::ksp_mode(net, router, commodities, k);
-    mcf::solve_with_options(net, commodities, &mode, eps, opts)
-}
-
-/// Fallible twin of [`ksp_solution_with`]: degenerate inputs (bad `eps`,
-/// empty or unroutable commodities) come back as [`mcf::McfError`] instead
-/// of panicking — what a serving layer wants.
+/// Degenerate inputs (bad `eps`, empty or unroutable commodities) come back
+/// as [`McfError`].
 pub fn try_ksp_solution(
     net: &Network,
     router: &Router,
     commodities: &[Commodity],
     k: usize,
     eps: f64,
-    opts: mcf::McfOptions,
-) -> Result<mcf::McfSolution, mcf::McfError> {
-    let mode = mcf::ksp_mode(net, router, commodities, k);
+    opts: McfOptions,
+) -> Result<McfSolution, McfError> {
+    let mode = mcf::ksp_mode_with(net, router, commodities, k, Parallelism::default());
     mcf::try_solve_with_options(net, commodities, &mode, eps, opts)
-}
-
-/// Ideal total throughput with no path constraint (each plane freely
-/// routed). Returns `(total_rate, lambda)`.
-pub fn ideal_throughput(net: &Network, commodities: &[Commodity], eps: f64) -> (f64, f64) {
-    let sol = mcf::solve(net, commodities, &PathMode::AnyPath, eps);
-    (sol.total_rate(), sol.lambda)
-}
-
-/// Fallible free-routing solve returning the full solution — the planner's
-/// ideal-throughput entry point ([`ideal_throughput`] /
-/// [`ideal_core_throughput`] with typed errors and the whole primal).
-pub fn try_ideal_solution(
-    net: &Network,
-    commodities: &[Commodity],
-    eps: f64,
-    opts: mcf::McfOptions,
-) -> Result<mcf::McfSolution, mcf::McfError> {
-    mcf::try_solve_with_options(net, commodities, &PathMode::AnyPath, eps, opts)
-}
-
-/// Ideal *core* throughput: like [`ideal_throughput`] but with host
-/// attachment links uncapacitated, measuring only the switch fabric — the
-/// paper's rack-level "total capacity of the network core" (Figure 7).
-pub fn ideal_core_throughput(net: &Network, commodities: &[Commodity], eps: f64) -> (f64, f64) {
-    let sol = mcf::solve_with_options(
-        net,
-        commodities,
-        &PathMode::AnyPath,
-        eps,
-        mcf::McfOptions {
-            host_links_free: true,
-            ..Default::default()
-        },
-    );
-    (sol.total_rate(), sol.lambda)
 }
 
 #[cfg(test)]
@@ -177,8 +116,8 @@ mod tests {
         let serial = assemble_homogeneous(&FatTree::three_tier(4), 1, &base);
         let par2 = assemble_homogeneous(&FatTree::three_tier(4), 2, &base);
         let c = cross_pod_permutation(16, 5);
-        let (t1, _) = ksp_multipath_throughput(&serial, &c, 8, 0.05);
-        let (t2, _) = ksp_multipath_throughput(&par2, &c, 16, 0.05);
+        let (t1, _) = ksp_multipath_throughput(&serial, &c, 8, 0.05).expect("valid instance");
+        let (t2, _) = ksp_multipath_throughput(&par2, &c, 16, 0.05).expect("valid instance");
         let ratio = t2 / t1;
         assert!(
             ratio > 1.7,
@@ -191,8 +130,11 @@ mod tests {
         let base = LinkProfile::paper_default();
         let net = assemble_homogeneous(&FatTree::three_tier(4), 2, &base);
         let c = cross_pod_permutation(16, 2);
-        let (ideal, _) = ideal_throughput(&net, &c, 0.05);
-        let (ksp1, _) = ksp_multipath_throughput(&net, &c, 1, 0.05);
+        let ideal =
+            mcf::try_solve_with_options(&net, &c, &PathMode::AnyPath, 0.05, McfOptions::default())
+                .expect("valid instance")
+                .total_rate();
+        let (ksp1, _) = ksp_multipath_throughput(&net, &c, 1, 0.05).expect("valid instance");
         assert!(
             ideal >= ksp1 * 0.95,
             "ideal {ideal} should dominate single-path {ksp1}"

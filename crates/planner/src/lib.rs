@@ -46,7 +46,7 @@ pub use fingerprint::{commodity_fingerprint, solution_fingerprint, topology_fing
 pub use memo::{Memo, MemoKey, MemoStats};
 pub use publish::Published;
 
-use pnet_flowsim::mcf::{McfError, McfOptions};
+use pnet_flowsim::mcf::{self, McfError, McfOptions, PathMode};
 use pnet_flowsim::{throughput, Commodity, McfSolution};
 use pnet_routing::{DeltaStats, Fnv, Parallelism, RouteAlgo, Router};
 use pnet_topology::{failures, LinkDelta, LinkId, Network, PlaneId};
@@ -425,9 +425,10 @@ impl Planner {
             query: query_tag(QUERY_IDEAL, 0, self.cfg.eps, false),
         };
         self.memo.get_or_solve(key, || {
-            throughput::try_ideal_solution(
+            mcf::try_solve_with_options(
                 net,
                 tm,
+                &PathMode::AnyPath,
                 self.cfg.eps,
                 McfOptions {
                     parallelism: self.cfg.parallelism,

@@ -19,10 +19,10 @@ use pnet::flowsim::{commodity, throughput};
 use pnet::htsim::{
     metrics, run_to_completion, EventMask, FlowSpec, SimConfig, SimTime, Simulator, TelemetryConfig,
 };
-use pnet::planner::{PlanError, Planner, PlannerConfig};
+use pnet::planner::{Planner, PlannerConfig};
 use pnet::topology::{components, failures, HostId, NetworkClass};
 use pnet::workloads::tm;
-use pnet_bench::{Args, Table};
+use pnet_bench::{or_exit, Args, Table};
 
 fn usage() -> ! {
     eprintln!(
@@ -212,7 +212,10 @@ fn cmd_throughput(args: &Args) {
     let k: usize = args.get("kpaths", 8);
     let eps: f64 = args.get("eps", 0.1);
     let ecmp = throughput::ecmp_throughput(&pnet.net, &commodities);
-    let (ksp, lambda) = throughput::ksp_multipath_throughput(&pnet.net, &commodities, k, eps);
+    let (ksp, lambda) = or_exit(
+        "throughput query",
+        throughput::ksp_multipath_throughput(&pnet.net, &commodities, k, eps),
+    );
     println!(
         "network: {} ({} hosts, {} planes)",
         class.label(),
@@ -226,14 +229,6 @@ fn cmd_throughput(args: &Args) {
         ksp / 1e12,
         lambda / 1e9
     );
-}
-
-/// Exit with the planner's diagnostic when a what-if query fails.
-fn run_query<T>(result: Result<T, PlanError>) -> T {
-    result.unwrap_or_else(|e| {
-        eprintln!("planner query failed: {e}");
-        std::process::exit(1);
-    })
 }
 
 /// One-stop what-if report from the planner service: admission of the
@@ -273,7 +268,7 @@ fn cmd_plan(args: &Args) {
         generation.topology_fingerprint()
     );
 
-    let adm = run_query(planner.admit_at(&generation, &commodities));
+    let adm = or_exit("planner query", planner.admit_at(&generation, &commodities));
     println!(
         "admission:  lambda = {:.4} -> {}  ({:.3} Tb/s delivered at that scale)",
         adm.lambda,
@@ -290,7 +285,10 @@ fn cmd_plan(args: &Args) {
         .into_iter()
         .map(|k| k as usize)
         .collect();
-    let best = run_query(planner.best_k_at(&generation, &commodities, &sweep));
+    let best = or_exit(
+        "planner query",
+        planner.best_k_at(&generation, &commodities, &sweep),
+    );
     let swept: Vec<String> = best
         .evaluated
         .iter()
@@ -321,7 +319,10 @@ fn cmd_plan(args: &Args) {
     if n_fail > 0 {
         let cables = failures::fabric_cables(generation.network(), None);
         let chosen = &cables[..n_fail.min(cables.len())];
-        let wi = run_query(planner.ideal_throughput_after_at(&generation, chosen, &commodities));
+        let wi = or_exit(
+            "planner query",
+            planner.ideal_throughput_after_at(&generation, chosen, &commodities),
+        );
         println!(
             "what-if:    {} fabric cable(s) down -> ideal lambda {:.4} vs {:.4} \
              baseline ({:.1}% retained)",

@@ -54,8 +54,8 @@ fn routing_is_deterministic() {
 fn flow_solver_is_deterministic() {
     let net = spec().build().net;
     let c = commodity::permutation(&tm::random_permutation(32, 4));
-    let (t1, l1) = throughput::ksp_multipath_throughput(&net, &c, 8, 0.1);
-    let (t2, l2) = throughput::ksp_multipath_throughput(&net, &c, 8, 0.1);
+    let (t1, l1) = throughput::ksp_multipath_throughput(&net, &c, 8, 0.1).expect("valid instance");
+    let (t2, l2) = throughput::ksp_multipath_throughput(&net, &c, 8, 0.1).expect("valid instance");
     assert_eq!(t1.to_bits(), t2.to_bits());
     assert_eq!(l1.to_bits(), l2.to_bits());
 }
@@ -148,7 +148,7 @@ fn serial_and_parallel_mcf_solutions_are_bit_identical() {
     let solve = |par: Parallelism| {
         let router = Router::with_parallelism(&net, RouteAlgo::Ksp { k: 16 }, par);
         let mode = mcf::ksp_mode_with(&net, &router, &c, 8, par);
-        mcf::solve_with_options(
+        mcf::try_solve_with_options(
             &net,
             &c,
             &mode,
@@ -158,6 +158,7 @@ fn serial_and_parallel_mcf_solutions_are_bit_identical() {
                 ..Default::default()
             },
         )
+        .expect("valid instance must solve")
     };
     let a = solve(Parallelism::Serial);
     let b = solve(Parallelism::Rayon);
@@ -179,7 +180,7 @@ fn serial_and_parallel_anypath_mcf_agree() {
     let net = two_plane_spec().build().net;
     let c = commodity::permutation(&tm::random_permutation(32, 13));
     let solve = |par: Parallelism| {
-        mcf::solve_with_options(
+        mcf::try_solve_with_options(
             &net,
             &c,
             &PathMode::AnyPath,
@@ -189,6 +190,7 @@ fn serial_and_parallel_anypath_mcf_agree() {
                 ..Default::default()
             },
         )
+        .expect("valid instance must solve")
     };
     let a = solve(Parallelism::Serial);
     let b = solve(Parallelism::Rayon);

@@ -4,6 +4,7 @@
 //! packet-level simulation.
 
 use pnet::core::{analysis, PNetSpec, PathPolicy, TopologyKind};
+use pnet::flowsim::mcf::{self, McfOptions, PathMode};
 use pnet::flowsim::{commodity, throughput};
 use pnet::htsim::apps::{RpcDriver, RpcSlot};
 use pnet::htsim::{metrics, run, run_to_completion, FlowSpec, SimConfig, Simulator};
@@ -66,9 +67,14 @@ fn multipath_saturation_k_grows_with_planes() {
     let perm = commodity::permutation(&tm::random_permutation(16, 5));
     let saturation_k = |n_planes: usize| -> usize {
         let net = pnet::topology::assemble_homogeneous(&ft, n_planes, &base);
-        let (asymptote, _) = throughput::ksp_multipath_throughput(&net, &perm, 32, 0.1);
+        let ksp = |k: usize| {
+            throughput::ksp_multipath_throughput(&net, &perm, k, 0.1)
+                .expect("valid instance must solve")
+                .0
+        };
+        let asymptote = ksp(32);
         for k in [1usize, 2, 4, 8, 16, 32] {
-            let (t, _) = throughput::ksp_multipath_throughput(&net, &perm, k, 0.1);
+            let t = ksp(k);
             if t >= 0.95 * asymptote {
                 return k;
             }
@@ -94,8 +100,17 @@ fn heterogeneous_core_capacity_beats_serial_high() {
     let commodities = commodity::all_to_all(32);
     let high = parallel::jellyfish_network(NetworkClass::SerialHigh, proto, 4, 9, &base);
     let het = parallel::jellyfish_network(NetworkClass::ParallelHeterogeneous, proto, 4, 9, &base);
-    let (t_high, _) = throughput::ideal_core_throughput(&high, &commodities, 0.1);
-    let (t_het, _) = throughput::ideal_core_throughput(&het, &commodities, 0.1);
+    // Ideal core throughput: free routing with host links uncapacitated.
+    let opts = McfOptions {
+        host_links_free: true,
+        ..Default::default()
+    };
+    let core = |net| {
+        mcf::try_solve_with_options(net, &commodities, &PathMode::AnyPath, 0.1, opts)
+            .expect("valid instance must solve")
+            .total_rate()
+    };
+    let (t_high, t_het) = (core(&high), core(&het));
     assert!(
         t_het > 1.1 * t_high,
         "hetero core capacity {t_het:.3e} should exceed serial-high {t_high:.3e}"

@@ -99,6 +99,13 @@ fn small_jellyfish(seed: u64) -> Network {
     )
 }
 
+/// Cold AnyPath GK solve with default options.
+fn gk_cold(net: &Network, c: &[Commodity], eps: f64) -> mcf::McfSolution {
+    let opts = mcf::McfOptions::default();
+    mcf::try_solve_with_options(net, c, &mcf::PathMode::AnyPath, eps, opts)
+        .expect("valid instance must solve")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -295,7 +302,7 @@ proptest! {
     fn gk_solution_is_feasible_and_positive(seed in 0u64..50, eps in 0.05f64..0.3) {
         let net = small_jellyfish(seed);
         let c = commodity::all_to_all(6);
-        let sol = mcf::solve(&net, &c, &mcf::PathMode::AnyPath, eps);
+        let sol = gk_cold(&net, &c, eps);
         prop_assert!(sol.lambda > 0.0);
         let caps = mcf::link_capacities(&net);
         for (f, cap) in sol.link_flow.iter().zip(&caps) {
@@ -315,12 +322,14 @@ proptest! {
     fn warm_gk_matches_cold_after_churn(seed in 0u64..20, churn_seed in 0u64..20) {
         let mut net = small_jellyfish(seed);
         let c = commodity::all_to_all(6);
-        let base = mcf::solve(&net, &c, &mcf::PathMode::AnyPath, 0.1);
+        let base = gk_cold(&net, &c, 0.1);
         ChurnSchedule::random_walk(&net, 6, 0.15, churn_seed).apply_all(&mut net);
         // AnyPath needs some plane to connect every commodity pair.
         prop_assume!(net.planes().any(|p| net.plane_connects_all_hosts(p)));
-        let cold = mcf::solve(&net, &c, &mcf::PathMode::AnyPath, 0.1);
-        let warm = mcf::solve_warm(&net, &c, &mcf::PathMode::AnyPath, 0.1, &base);
+        let cold = gk_cold(&net, &c, 0.1);
+        let opts = mcf::McfOptions::default();
+        let warm = mcf::try_solve_warm_with_options(&net, &c, &mcf::PathMode::AnyPath, 0.1, opts, &base)
+            .expect("valid warm instance must solve");
         prop_assert!(
             (warm.lambda - cold.lambda).abs() <= mcf::WARM_LAMBDA_TOLERANCE * cold.lambda,
             "warm λ {} vs cold λ {} exceeds the pinned tolerance",
@@ -338,7 +347,7 @@ proptest! {
         // One commodity: lambda * d can never exceed the host uplink total.
         let net = small_jellyfish(seed);
         let c = vec![Commodity::unit(HostId(0), HostId(7))];
-        let sol = mcf::solve(&net, &c, &mcf::PathMode::AnyPath, 0.1);
+        let sol = gk_cold(&net, &c, 0.1);
         let uplink_total = 2.0 * 100e9; // 2 planes x 100G
         prop_assert!(sol.rates[0] <= uplink_total * 1.001);
     }
