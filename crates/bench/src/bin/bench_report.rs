@@ -39,7 +39,7 @@
 //!    `publish_delta` churn — the pinned generation's answers must be
 //!    bitwise stable across the publishes.
 //! 7. **Event engine throughput** (`BENCH_htsim.json`) — the overhauled
-//!    simulator core (calendar/ladder event queue, packet slab arena,
+//!    simulator core (timing-wheel/ladder event queue, packet slab arena,
 //!    batched same-timestamp dispatch) vs the pre-overhaul engine, kept
 //!    alive verbatim as [`pnet_htsim::reference::RefSimulator`] and re-timed
 //!    *live* on the same machine and workload: a full host permutation on a
@@ -544,18 +544,18 @@ fn hold_offset_ps(state: &mut u64) -> u64 {
 /// Hold-model microbenchmark of the event queue in isolation — the classic
 /// calendar-queue methodology (pop the earliest event, reschedule it at
 /// `popped + offset`, steady-state population held constant). This isolates
-/// the tentpole's direct target from the end-to-end number, which is
-/// Amdahl-limited by transport work and DRAM misses on simulator state that
-/// both engines pay identically. The baseline is a `BinaryHeap` over
-/// same-size (32-byte) nodes with the identical (time, seq) order — a
-/// *favorable* stand-in for the old engine, whose nodes were 64 bytes.
-/// Returns (calendar Mops, heap Mops).
+/// the queue structure from the end-to-end number, which is Amdahl-limited
+/// by transport work and DRAM misses on simulator state that both engines
+/// pay identically. The baseline is a `BinaryHeap` over 32-byte
+/// (time, seq, payload) nodes with the identical (time, seq) order — a
+/// *favorable* stand-in for the old engine, whose nodes were 64 bytes; the
+/// wheel's own entries are 24 bytes. Returns (wheel Mops, heap Mops).
 fn queue_hold_microbench(quick: bool) -> (f64, f64) {
     use pnet_htsim::event::{EventKind, EventQueue};
     const PENDING: usize = 1 << 16;
     let holds: usize = if quick { 1_000_000 } else { 8_000_000 };
 
-    // Calendar queue, the production engine's structure.
+    // Timing wheel, the production engine's structure.
     let mut q = EventQueue::new();
     let mut rng = 0x243F_6A88_85A3_08D3u64;
     let mut t = 0u64;
@@ -621,15 +621,15 @@ fn queue_hold_microbench(quick: bool) -> (f64, f64) {
 
     // Same seed, same offsets, same total order: the two structures must pop
     // the identical timestamp sequence or one of them is not a priority
-    // queue. (`t` is read so the calendar loop cannot be optimized away.)
+    // queue. (`t` is read so the wheel loop cannot be optimized away.)
     assert_eq!(
         cal_sum, heap_sum,
-        "calendar queue and heap disagreed on pop order (last t = {t})"
+        "timing wheel and heap disagreed on pop order (last t = {t})"
     );
     (cal_mops, heap_mops)
 }
 
-/// Event engine: calendar/arena core vs pre-overhaul engine. A full host
+/// Event engine: timing-wheel/arena core vs pre-overhaul engine. A full host
 /// permutation at the paper's testbed scale (686 hosts) under 2-subflow LIA
 /// MPTCP, run to completion on both engines. Min-of-N wall clock, events/sec,
 /// and a byte-identical FCT check: the overhaul must be a pure
@@ -704,7 +704,7 @@ fn htsim_engine_section(args: &Args, quick: bool, seed: u64, cores: usize) {
     let (cal_mops, heap_mops) = queue_hold_microbench(quick);
     let hold_speedup = cal_mops / heap_mops;
     println!(
-        "htsim event queue (hold model, 64Ki pending): calendar {} Mops, \
+        "htsim event queue (hold model, 64Ki pending): timing wheel {} Mops, \
          binary heap {} Mops, speedup {}x",
         f3(cal_mops),
         f3(heap_mops),

@@ -68,7 +68,7 @@ pub fn try_ksp_solution(
     eps: f64,
     opts: McfOptions,
 ) -> Result<McfSolution, McfError> {
-    let mode = mcf::ksp_mode_with(net, router, commodities, k, Parallelism::default());
+    let mode = mcf::ksp_mode_with(net, router, commodities, k, opts.parallelism);
     mcf::try_solve_with_options(net, commodities, &mode, eps, opts)
 }
 

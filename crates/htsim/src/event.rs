@@ -1,45 +1,48 @@
-//! The event queue: a hierarchical calendar/ladder queue with deterministic
-//! (time, seq) ordering.
+//! The event queue: a rolling timing wheel over an overflow ladder, with
+//! deterministic (time, seq) ordering.
 //!
 //! Most simulator events are *near-future*: a queue departure lands one
-//! serialization time ahead (3.2 ns for an ACK at 100G, 120 ns for an MTU),
-//! an arrival one propagation delay ahead (~1 µs). A binary heap pays
+//! serialization time ahead (3.2 ns for an ACK at 100G, 1.2 µs for an MTU at
+//! 10G), an arrival one propagation delay ahead (~1 µs). A binary heap pays
 //! O(log n) pointer-chasing for every one of them. This queue instead hashes
-//! events into fixed-width time buckets:
+//! them into fixed-width time slots of a wheel that rolls with the clock:
 //!
-//! * **Buckets**: `N_SLOTS` slots of `2^SLOT_SHIFT` ps each cover a sliding
-//!   window of ~67 µs from `window_start` (a multiple of the window span).
-//!   Insertion is O(1): push onto `slots[(t >> SLOT_SHIFT) & (N_SLOTS-1)]`.
-//! * **Drain + late heap**: when a slot becomes current its staged events
-//!   are sorted once, descending by `(time, seq)`, into a stack popped from
-//!   the end — O(1) amortized. Events scheduled *into* the current slot
-//!   while it drains (ACK-departure cascades 3.2 ns out, same-timestamp
-//!   batches) go to a small binary heap instead; each pop takes the smaller
-//!   of the stack tail and the heap head. Both structures realize the same
-//!   (time, seq) total order and sequence numbers are unique, so the
-//!   cross-pick is never ambiguous. (Binary-inserting late events into the
-//!   sorted stack is quadratic per slot: a same-timestamp straggler sorts
-//!   *before* every equal-time event already there — larger seq, descending
-//!   stack — and memmoves the whole batch. The heap caps that at O(log k).)
-//! * **Ladder**: events at or beyond the window end (RTO timers at ≥10 ms,
-//!   app wakeups, telemetry ticks) go to an overflow binary heap. When the
-//!   buckets drain, the window jumps forward to the span containing the
-//!   ladder minimum and every ladder event inside the new window is
-//!   re-hashed into its bucket.
+//! * **Wheel**: `N_SLOTS` slots of `2^`[`SLOT_SHIFT`] ps (~1 ns) each. The
+//!   *open* slot `cur` (absolute slot number `t >> SLOT_SHIFT` of the last
+//!   popped event) is being drained; the wheel holds every event whose slot
+//!   lies in `(cur, cur + N_SLOTS)`, a ~2.1 µs horizon measured from the open
+//!   slot, at physical index `slot & (N_SLOTS - 1)`. Insertion is a push
+//!   plus a bit set in an occupancy bitmap; the next occupied slot is found
+//!   by scanning that bitmap, at most `N_SLOTS / 64` words.
+//! * **Drain + late heap**: when a slot opens its entries are stably sorted
+//!   by time into a stack popped from the end. Events scheduled *into* the
+//!   open slot while it drains (same-timestamp cascades, sub-ns offsets) go
+//!   to a small binary heap ordered by (time, seq); each pop takes the
+//!   earlier of the stack tail and the heap head, the stack on a time tie.
+//! * **Ladder**: events at or beyond the horizon (RTO timers at ≥1 ms, app
+//!   wakeups, telemetry ticks) go to an overflow binary heap ordered by
+//!   (time, seq). Whenever the open slot advances, every ladder event the
+//!   new horizon covers moves into its slot, in (time, seq) order. With the
+//!   wheel empty the open slot advances straight to the ladder minimum's.
 //!
-//! Determinism is bit-identical to the old `BinaryHeap<Reverse<Event>>`:
-//! both implement the same total order — time, ties broken by a
-//! monotonically increasing sequence number — and the calendar realizes it
-//! exactly (see DESIGN.md "Event engine internals" for the argument). The
-//! golden fingerprint and proptest suites verify this end to end.
+//! Wheel entries carry no sequence number — 24 bytes, `(time, kind)` — yet
+//! dispatch order is exactly (time, seq), bit-identical to the original
+//! `BinaryHeap<Reverse<Event>>` engine. The argument rests on three
+//! invariants:
 //!
-//! The two structural invariants that make the window logic sound:
+//! 1. every `schedule(at, ..)` has `slot(at) >= cur`, because `at >= now`
+//!    and `now` is never before the open slot;
+//! 2. the ladder only ever holds events at or beyond `cur + N_SLOTS`;
+//! 3. a slot's entries are appended in an order that agrees with seq on
+//!    every time tie: the horizon reaches a slot once, its ladder events
+//!    move in first (popped in (time, seq) order, all scheduled before that
+//!    moment) and direct stagings follow (in schedule order, all after it),
+//!    so a *stable* sort by time yields (time, seq).
 //!
-//! 1. every `schedule(at, ..)` happens with `at >= now >= window_start`, so
-//!    a bucketed insertion never lands in a slot before `cur_slot`;
-//! 2. the window only advances when the buckets are empty, and only to the
-//!    span containing the global minimum, so no pending event is ever left
-//!    behind the window.
+//! Every `late` event was scheduled after its slot opened, so it has a larger
+//! seq than every drain entry and a time tie goes to the drain. See DESIGN.md
+//! "Event engine internals"; the golden fingerprint and proptest suites
+//! verify the order end to end.
 
 use crate::packet::{ConnId, PacketId};
 use crate::time::SimTime;
@@ -69,75 +72,85 @@ pub enum EventKind {
     TelemetrySample,
 }
 
-/// A scheduled event.
+/// A scheduled event, as the wheel stores it and `pop` returns it.
 #[derive(Debug)]
 pub struct Event {
     pub time: SimTime,
-    seq: u64,
     pub kind: EventKind,
 }
 
-impl PartialEq for Event {
+/// An event tagged with its schedule sequence number, for the two heaps
+/// (ladder and late) that must break time ties explicitly.
+#[derive(Debug)]
+struct Sequenced {
+    ev: Event,
+    seq: u64,
+}
+
+impl PartialEq for Sequenced {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.ev.time == other.ev.time && self.seq == other.seq
     }
 }
-impl Eq for Event {}
-impl Ord for Event {
+impl Eq for Sequenced {}
+impl Ord for Sequenced {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time.cmp(&other.time).then(self.seq.cmp(&other.seq))
+        self.ev
+            .time
+            .cmp(&other.ev.time)
+            .then(self.seq.cmp(&other.seq))
     }
 }
-impl PartialOrd for Event {
+impl PartialOrd for Sequenced {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// Bucket width: 2^14 ps ≈ 16.4 ns. Finer than an MTU serialization at 100G
-/// (120 ns), so back-to-back departures spread over distinct slots; coarse
-/// enough that a window of 4096 slots spans ~67 µs — comfortably past any
-/// hop latency (serialization + ~1 µs propagation) while keeping every
-/// ≥10 ms RTO in the ladder.
-const SLOT_SHIFT: u32 = 14;
-/// Number of bucket slots (power of two so the slot index is a mask).
-const N_SLOTS: usize = 1 << 12;
-/// Width of the bucket window in picoseconds (~67.1 µs).
-const SPAN_PS: u64 = (N_SLOTS as u64) << SLOT_SHIFT;
+/// Slot width: 2^10 ps ≈ 1 ns. At trace replay's ~5k events per simulated
+/// µs a slot holds a handful of events, so opening one sorts a few entries
+/// and the whole wheel's buffers stay cache-resident; narrower slots would
+/// only add empty slots to skip.
+pub const SLOT_SHIFT: u32 = 10;
+/// Number of wheel slots (a power of two, so the physical index is a mask).
+/// The horizon, `N_SLOTS << SLOT_SHIFT` ≈ 2.1 µs, covers the 1 µs fabric
+/// propagation delay plus an MTU serialization at ≥10G, so packet events
+/// never touch the ladder; ≥1 ms RTO timers always do.
+const N_SLOTS: usize = 1 << 11;
+/// Width of the wheel's horizon in picoseconds, measured from the start of
+/// the open slot: an event this far ahead or more goes to the ladder.
+pub const HORIZON_PS: u64 = (N_SLOTS as u64) << SLOT_SHIFT;
+const WORDS: usize = N_SLOTS / 64;
 
+/// Absolute slot number of time `t`.
 #[inline]
-fn slot_of(t_ps: u64) -> usize {
-    ((t_ps >> SLOT_SHIFT) as usize) & (N_SLOTS - 1)
+fn slot_of(t: SimTime) -> u64 {
+    t.as_ps() >> SLOT_SHIFT
 }
 
-/// Deterministic event queue (calendar buckets + overflow ladder).
+/// Deterministic event queue (rolling timing wheel + overflow ladder).
 #[derive(Debug)]
 pub struct EventQueue {
-    /// Unsorted per-slot staging areas for the current window. The current
-    /// slot's staging area is always empty: its backlog lives in `drain` and
-    /// fresh insertions go to `late`.
+    /// Unsorted per-slot staging areas, indexed by `slot & (N_SLOTS - 1)`,
+    /// for the slots in `(cur, cur + N_SLOTS)`. The open slot's staging area
+    /// is always empty: its backlog lives in `drain` and fresh insertions go
+    /// to `late`.
     slots: Vec<Vec<Event>>,
-    /// The current slot's backlog, sorted descending by `(time, seq)`; pops
-    /// come off the end.
+    /// One bit per physical slot: set iff that staging area is non-empty.
+    occupied: [u64; WORDS],
+    /// The open slot's backlog, sorted descending by time with ties in
+    /// reverse schedule order; pops come off the end.
     drain: Vec<Event>,
-    /// Events scheduled into the current slot after it opened.
-    late: BinaryHeap<Reverse<Event>>,
-    /// Slot currently being drained. Slots before it (within this window)
-    /// are empty.
-    cur_slot: usize,
-    /// Start of the bucket window; always a multiple of `SPAN_PS`.
-    window_start: u64,
-    /// Far-future overflow: every event at or beyond `window_start + SPAN_PS`.
-    ladder: BinaryHeap<Reverse<Event>>,
-    /// Lower bound on the lowest-indexed occupied staging slot (`N_SLOTS`
-    /// when provably none): slot scans start here instead of at `cur_slot`,
-    /// so a run of empty slots is traversed once, not once per peek/pop.
-    /// Lowered on staged insertion, raised past each slot as it opens, reset
-    /// on window jumps; never below `cur_slot`.
-    min_staged: usize,
-    /// Events in `slots` + `drain` (not the ladder).
-    in_buckets: usize,
-    next_seq: u64,
+    /// Events scheduled into the open slot after it opened.
+    late: BinaryHeap<Reverse<Sequenced>>,
+    /// Absolute slot number of the open slot. Every slot before it is
+    /// drained.
+    cur: u64,
+    /// Events in `slots` (not counting `drain` or `late`).
+    staged: usize,
+    /// Far-future overflow: every event at slot `cur + N_SLOTS` or later.
+    ladder: BinaryHeap<Reverse<Sequenced>>,
+    /// Events scheduled so far; also the next sequence number.
     scheduled: u64,
     dispatched: u64,
     /// Pending [`EventKind::Arrival`] events, maintained at schedule/pop so
@@ -157,14 +170,12 @@ impl EventQueue {
     pub fn new() -> Self {
         EventQueue {
             slots: (0..N_SLOTS).map(|_| Vec::new()).collect(),
+            occupied: [0; WORDS],
             drain: Vec::new(),
             late: BinaryHeap::new(),
-            cur_slot: 0,
-            window_start: 0,
+            cur: 0,
+            staged: 0,
             ladder: BinaryHeap::new(),
-            min_staged: N_SLOTS,
-            in_buckets: 0,
-            next_seq: 0,
             scheduled: 0,
             dispatched: 0,
             #[cfg(feature = "strict-invariants")]
@@ -172,96 +183,129 @@ impl EventQueue {
         }
     }
 
-    /// Schedule `kind` at absolute time `at`.
+    /// Schedule `kind` at absolute time `at`, which must not be earlier than
+    /// the last popped event.
     #[inline]
     pub fn schedule(&mut self, at: SimTime, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.scheduled;
         self.scheduled += 1;
         #[cfg(feature = "strict-invariants")]
         if matches!(kind, EventKind::Arrival { .. }) {
             self.arrivals_pending += 1;
         }
-        let ev = Event {
-            time: at,
-            seq,
-            kind,
-        };
-        let t = at.as_ps();
-        if t < self.window_start.saturating_add(SPAN_PS) {
-            debug_assert!(
-                t >= self.window_start,
-                "scheduled behind the calendar window ({} < {})",
-                t,
-                self.window_start
-            );
-            let s = slot_of(t);
-            debug_assert!(
-                s >= self.cur_slot,
-                "bucketed insertion behind the drain cursor"
-            );
-            if s == self.cur_slot {
-                self.late.push(Reverse(ev));
-            } else {
-                self.slots[s].push(ev);
-                self.min_staged = self.min_staged.min(s);
-            }
-            self.in_buckets += 1;
-        } else {
-            self.ladder.push(Reverse(ev));
+        let ev = Event { time: at, kind };
+        let slot = slot_of(at);
+        debug_assert!(
+            slot >= self.cur,
+            "scheduled behind the open slot ({slot} < {})",
+            self.cur
+        );
+        match slot - self.cur {
+            0 => self.late.push(Reverse(Sequenced { ev, seq })),
+            ahead if ahead < N_SLOTS as u64 => self.stage(ev),
+            _ => self.ladder.push(Reverse(Sequenced { ev, seq })),
         }
     }
 
-    /// Open staged slot `s`: take its events as the new drain stack, sorted
-    /// once, descending by `(time, seq)`. Recycles the old drain buffer (and
-    /// its capacity) as the slot's staging area. The comparator is total —
-    /// sequence numbers are unique — so `sort_unstable` is deterministic.
-    fn open_slot(&mut self, s: usize) {
-        self.cur_slot = s;
-        std::mem::swap(&mut self.drain, &mut self.slots[s]);
-        self.drain.sort_unstable_by(|a, b| b.cmp(a));
-        // Slots at or before `s` are now all empty (the scan that found `s`
-        // proved those before it empty, and `s` was just swapped out).
-        self.min_staged = s + 1;
+    /// Append `ev` to its slot's staging area.
+    #[inline]
+    fn stage(&mut self, ev: Event) {
+        let p = slot_of(ev.time) as usize & (N_SLOTS - 1);
+        self.slots[p].push(ev);
+        self.occupied[p / 64] |= 1 << (p % 64);
+        self.staged += 1;
     }
 
-    /// Pop the earliest event of the current slot: the smaller of the drain
-    /// stack's tail and the late heap's head.
-    #[inline]
-    fn pop_current(&mut self) -> Option<Event> {
-        let take_late = match (self.drain.last(), self.late.peek()) {
-            (Some(d), Some(Reverse(l))) => l.cmp(d) == std::cmp::Ordering::Less,
-            (None, Some(_)) => true,
-            (_, None) => false,
+    /// Absolute slot number of the first occupied staging area after the
+    /// open slot. Requires `staged > 0`.
+    fn next_occupied(&self) -> u64 {
+        let start = (self.cur as usize + 1) & (N_SLOTS - 1);
+        let w0 = start / 64;
+        // The first word counts only from `start`; wrapping back round to it
+        // at the end is harmless, since its bits from `start` on were zero.
+        let first = self.occupied[w0] & (!0u64 << (start % 64));
+        let p = if first != 0 {
+            w0 * 64 + first.trailing_zeros() as usize
+        } else {
+            (1..=WORDS)
+                .map(|i| (w0 + i) % WORDS)
+                .find(|&w| self.occupied[w] != 0)
+                .map(|w| w * 64 + self.occupied[w].trailing_zeros() as usize)
+                .expect("invariant: staged > 0 implies an occupied slot")
         };
-        if take_late {
-            self.late.pop().map(|Reverse(e)| e)
+        // The open slot's own staging area is empty, so the distance is in
+        // 1..N_SLOTS.
+        self.cur + ((p as u64).wrapping_sub(self.cur) & (N_SLOTS as u64 - 1))
+    }
+
+    /// Open the next non-empty slot: advance `cur` to it, roll the horizon
+    /// (moving the ladder events it now covers into their slots) and take
+    /// the slot's entries as the new drain stack. Returns false when the
+    /// queue is empty. Requires the open slot to be exhausted.
+    fn advance(&mut self) -> bool {
+        debug_assert!(self.drain.is_empty() && self.late.is_empty());
+        self.cur = if self.staged > 0 {
+            self.next_occupied()
+        } else if let Some(Reverse(head)) = self.ladder.peek() {
+            slot_of(head.ev.time)
+        } else {
+            return false;
+        };
+        let horizon = self.cur + N_SLOTS as u64;
+        while self
+            .ladder
+            .peek()
+            .is_some_and(|Reverse(e)| slot_of(e.ev.time) < horizon)
+        {
+            let Reverse(e) = self
+                .ladder
+                .pop()
+                .expect("invariant: peeked ladder head exists");
+            self.stage(e.ev);
+        }
+        // Recycle the exhausted drain buffer (and its capacity) as the
+        // opened slot's staging area.
+        let p = self.cur as usize & (N_SLOTS - 1);
+        std::mem::swap(&mut self.drain, &mut self.slots[p]);
+        self.occupied[p / 64] &= !(1 << (p % 64));
+        self.staged -= self.drain.len();
+        // Stable: equal times keep schedule order (invariant 3), and the
+        // reversal makes the stack pop them first-scheduled first.
+        self.drain.sort_by_key(|e| e.time);
+        self.drain.reverse();
+        true
+    }
+
+    /// Earliest time pending in the open slot.
+    #[inline]
+    fn open_min(&self) -> Option<SimTime> {
+        match (self.drain.last(), self.late.peek()) {
+            (Some(d), Some(Reverse(l))) => Some(d.time.min(l.ev.time)),
+            (Some(d), None) => Some(d.time),
+            (None, Some(Reverse(l))) => Some(l.ev.time),
+            (None, None) => None,
+        }
+    }
+
+    /// Pop the earliest event of the open slot, which must hold one: the
+    /// earlier of the drain stack's tail and the late heap's head, the tail
+    /// on a time tie (its seq is smaller).
+    #[inline]
+    fn pop_open(&mut self) -> Event {
+        let take_late = match (self.drain.last(), self.late.peek()) {
+            (Some(d), Some(Reverse(l))) => l.ev.time < d.time,
+            (None, _) => true,
+            (Some(_), None) => false,
+        };
+        let ev = if take_late {
+            self.late.pop().map(|Reverse(e)| e.ev)
         } else {
             self.drain.pop()
         }
-    }
-
-    /// The event most likely to pop next — the drain-stack tail — offered as
-    /// a prefetch hint to the dispatch loop. Purely advisory: the late heap
-    /// or a later slot may in fact come first, so callers must never use it
-    /// for ordering decisions. (This hint is a structural advantage of the
-    /// calendar layout: the old binary heap knows its head, but the head's
-    /// *successor* is buried mid-sift.)
-    #[inline]
-    pub fn next_hint(&self) -> &[Event] {
-        let n = self.drain.len();
-        // Two-deep: a handler runs long enough to cover its successor's DRAM
-        // load but often not two, so overlapping a pair keeps the pipeline
-        // ahead of the dispatch loop.
-        &self.drain[n.saturating_sub(2)..]
-    }
-
-    /// Shared post-pop bookkeeping for both pop paths.
-    #[inline]
-    fn note_popped(&mut self, _ev: &Event) {
+        .expect("invariant: the open slot holds an event");
         self.dispatched += 1;
         #[cfg(feature = "strict-invariants")]
-        if matches!(_ev.kind, EventKind::Arrival { .. }) {
+        if matches!(ev.kind, EventKind::Arrival { .. }) {
             self.arrivals_pending -= 1;
         }
         // Drain invariant: every event is scheduled exactly once and
@@ -271,65 +315,47 @@ impl EventQueue {
             self.scheduled,
             "event queue counters out of sync"
         );
+        ev
+    }
+
+    /// The event most likely to pop next — the drain-stack tail — offered as
+    /// a prefetch hint to the dispatch loop. Purely advisory: the late heap
+    /// or a later slot may in fact come first, so callers must never use it
+    /// for ordering decisions. (This hint is a structural advantage of the
+    /// wheel: a binary heap knows its head, but the head's *successor* is
+    /// buried mid-sift.)
+    #[inline]
+    pub fn next_hint(&self) -> &[Event] {
+        let n = self.drain.len();
+        // Two-deep: a handler runs long enough to cover its successor's DRAM
+        // load but often not two, so overlapping a pair keeps the pipeline
+        // ahead of the dispatch loop.
+        &self.drain[n.saturating_sub(2)..]
     }
 
     /// Pop the earliest event.
     #[inline]
     pub fn pop(&mut self) -> Option<Event> {
-        loop {
-            if self.in_buckets > 0 {
-                if self.drain.is_empty() && self.late.is_empty() {
-                    // Advance to the next occupied slot of this window. The
-                    // scan never wraps: bucketed insertions always land at or
-                    // after cur_slot (invariant 1 in the module docs), and
-                    // `min_staged` bounds it below so the empty prefix is
-                    // skipped without probing.
-                    debug_assert!(self.min_staged >= self.cur_slot);
-                    let next = (self.min_staged..N_SLOTS)
-                        .find(|&s| !self.slots[s].is_empty())
-                        .expect("invariant: in_buckets > 0 implies an occupied slot ahead");
-                    self.open_slot(next);
-                }
-                let ev = self
-                    .pop_current()
-                    .expect("invariant: an opened slot yields a non-empty drain or late heap");
-                self.in_buckets -= 1;
-                self.note_popped(&ev);
-                return Some(ev);
-            }
-            let Reverse(head) = self.ladder.peek()?;
-            // Buckets empty: jump the window to the span containing the
-            // ladder minimum and re-hash every ladder event inside it.
-            let min_t = head.time.as_ps();
-            self.window_start = min_t & !(SPAN_PS - 1);
-            self.cur_slot = slot_of(min_t);
-            self.min_staged = N_SLOTS; // refill below re-establishes the bound
-            let end = self.window_start.saturating_add(SPAN_PS);
-            while self
-                .ladder
-                .peek()
-                .is_some_and(|Reverse(e)| e.time.as_ps() < end)
-            {
-                let Reverse(ev) = self
-                    .ladder
-                    .pop()
-                    .expect("invariant: peeked ladder head exists");
-                let s = slot_of(ev.time.as_ps());
-                self.slots[s].push(ev);
-                self.min_staged = self.min_staged.min(s);
-                self.in_buckets += 1;
-            }
+        if self.drain.is_empty() && self.late.is_empty() && !self.advance() {
+            return None;
         }
+        Some(self.pop_open())
     }
 
-    /// Pop the earliest event only if it is scheduled exactly at `t`. This is
-    /// the batched-dispatch fast path: draining a same-timestamp cascade
-    /// (departure → arrival → departure ...) touches only the drain stack's
-    /// tail, skipping the peek scan and window logic entirely.
+    /// Pop the earliest event only if it is scheduled exactly at `t`, the
+    /// current time (that of the last popped event). This is the
+    /// batched-dispatch fast path for same-timestamp cascades (departure →
+    /// arrival → departure ...): an event at the current time can only be in
+    /// the open slot, so only that slot is checked, and an exhausted open
+    /// slot answers `None` without looking further.
     #[inline]
     pub fn pop_if_at(&mut self, t: SimTime) -> Option<Event> {
-        if self.peek_time() == Some(t) {
-            self.pop()
+        debug_assert!(
+            slot_of(t) == self.cur || self.open_min().is_none(),
+            "pop_if_at away from the open slot"
+        );
+        if self.open_min() == Some(t) {
+            Some(self.pop_open())
         } else {
             None
         }
@@ -338,31 +364,21 @@ impl EventQueue {
     /// Time of the next event without removing it.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.in_buckets > 0 {
-            // Bucketed events are all earlier than the window end, ladder
-            // events all at or after it, so the bucket minimum is global.
-            let best = match (self.drain.last(), self.late.peek()) {
-                (Some(d), Some(Reverse(l))) => Some(d.time.min(l.time)),
-                (Some(d), None) => Some(d.time),
-                (None, Some(Reverse(l))) => Some(l.time),
-                (None, None) => None,
-            };
-            if best.is_some() {
-                return best;
-            }
-            for s in self.min_staged..N_SLOTS {
-                if let Some(min) = self.slots[s].iter().map(|e| e.time).min() {
-                    return Some(min);
-                }
-            }
-            debug_assert!(false, "in_buckets > 0 but no occupied slot found");
+        if let Some(t) = self.open_min() {
+            return Some(t);
         }
-        self.ladder.peek().map(|Reverse(e)| e.time)
+        if self.staged > 0 {
+            // Wheel events are all before the horizon, ladder events at or
+            // beyond it, so the first occupied slot holds the global minimum.
+            let p = self.next_occupied() as usize & (N_SLOTS - 1);
+            return self.slots[p].iter().map(|e| e.time).min();
+        }
+        self.ladder.peek().map(|Reverse(e)| e.ev.time)
     }
 
     /// Events still pending.
     pub fn len(&self) -> usize {
-        self.in_buckets + self.ladder.len()
+        self.staged + self.drain.len() + self.late.len() + self.ladder.len()
     }
 
     /// True when no events remain.
@@ -397,17 +413,21 @@ mod tests {
     #[test]
     fn event_partial_ord_is_consistent_with_ord_and_eq() {
         use std::cmp::Ordering;
-        let ev = |t: u64, seq: u64| Event {
-            time: SimTime::from_ps(t),
+        let ev = |t: u64, seq: u64| Sequenced {
+            ev: Event {
+                time: SimTime::from_ps(t),
+                kind: EventKind::TelemetrySample,
+            },
             seq,
-            kind: EventKind::TelemetrySample,
         };
         // Same (time, seq) with different kinds still compares Equal — the
-        // queue orders purely on (time, seq).
-        let same = Event {
-            time: SimTime::from_ps(10),
+        // heaps order purely on (time, seq).
+        let same = Sequenced {
+            ev: Event {
+                time: SimTime::from_ps(10),
+                kind: EventKind::AppTimer { app: 0, tag: 0 },
+            },
             seq: 1,
-            kind: EventKind::AppTimer { app: 0, tag: 0 },
         };
         let cases = [ev(10, 1), ev(10, 2), ev(20, 0), same];
         for x in &cases {
@@ -509,7 +529,7 @@ mod tests {
     }
 
     // -------------------------------------------------------------------
-    // Calendar-specific edge cases.
+    // Wheel-specific edge cases.
     // -------------------------------------------------------------------
 
     fn app(q: &mut EventQueue, at_ps: u64, app: u32) {
@@ -527,8 +547,8 @@ mod tests {
 
     #[test]
     fn bucket_rollover_across_slot_boundaries() {
-        // Events straddling slot boundaries within one window: exact order
-        // regardless of which 16.4 ns bucket each lands in.
+        // Events straddling slot boundaries within one horizon: exact order
+        // regardless of which ~1 ns slot each lands in.
         let w = 1u64 << SLOT_SHIFT;
         let mut q = EventQueue::new();
         app(&mut q, 3 * w + 1, 4);
@@ -553,46 +573,46 @@ mod tests {
 
     #[test]
     fn far_future_events_take_the_ladder_and_come_back() {
-        // A mix of near events and far timers (several windows out, RTO
+        // A mix of near events and far timers (several horizons out, RTO
         // scale): the ladder must hand them back in exact order, including
-        // ties and events that share the post-jump window.
+        // ties and events that share the horizon after the wheel rolls.
         let mut q = EventQueue::new();
-        app(&mut q, SPAN_PS * 3 + 500, 3); // far: ladder
+        app(&mut q, HORIZON_PS * 3 + 500, 3); // far: ladder
         app(&mut q, 10, 0); // near
-        app(&mut q, SPAN_PS * 3 + 500, 4); // far tie: seq order
-        app(&mut q, SPAN_PS * 3 + 499, 2); // far, just before the tie
-        app(&mut q, SPAN_PS - 1, 1); // last ps of the first window
-        app(&mut q, SPAN_PS * 9 + 1, 5); // beyond even the jumped window
+        app(&mut q, HORIZON_PS * 3 + 500, 4); // far tie: seq order
+        app(&mut q, HORIZON_PS * 3 + 499, 2); // far, just before the tie
+        app(&mut q, HORIZON_PS - 1, 1); // last ps of the first horizon
+        app(&mut q, HORIZON_PS * 9 + 1, 5); // beyond even the rolled horizon
         let got = drain_apps(&mut q);
         assert_eq!(
             got,
             vec![
                 (10, 0),
-                (SPAN_PS - 1, 1),
-                (SPAN_PS * 3 + 499, 2),
-                (SPAN_PS * 3 + 500, 3),
-                (SPAN_PS * 3 + 500, 4),
-                (SPAN_PS * 9 + 1, 5),
+                (HORIZON_PS - 1, 1),
+                (HORIZON_PS * 3 + 499, 2),
+                (HORIZON_PS * 3 + 500, 3),
+                (HORIZON_PS * 3 + 500, 4),
+                (HORIZON_PS * 9 + 1, 5),
             ]
         );
     }
 
     #[test]
     fn window_jump_then_schedule_into_new_window() {
-        // After the window jumps to a far timer, scheduling near the new
-        // "now" must land in the new window's buckets and sort correctly
-        // against remaining ladder events.
-        let far = SPAN_PS * 5 + 1000;
+        // After the wheel advances to a far timer, scheduling near the new
+        // "now" must land in the wheel and sort correctly against remaining
+        // ladder events.
+        let far = HORIZON_PS * 5 + 1000;
         let mut q = EventQueue::new();
         app(&mut q, far, 1);
-        app(&mut q, far + SPAN_PS, 3); // next window again
+        app(&mut q, far + HORIZON_PS, 3); // a horizon further again
         let first = q.pop().unwrap();
         assert_eq!(first.time.as_ps(), far);
         // Simulate the dispatch of `first` scheduling a follow-up shortly
-        // after now (same window) — the common RTO-retransmit pattern.
+        // after now (within the horizon) — the common RTO-retransmit pattern.
         app(&mut q, far + 5, 2);
         let got = drain_apps(&mut q);
-        assert_eq!(got, vec![(far + 5, 2), (far + SPAN_PS, 3)]);
+        assert_eq!(got, vec![(far + 5, 2), (far + HORIZON_PS, 3)]);
     }
 
     #[test]
@@ -638,11 +658,11 @@ mod tests {
         // straightforward (time, insertion-index) sort.
         let times: Vec<u64> = (0..400u64)
             .map(|i| {
-                // LCG spreading times over ~3 windows with many collisions.
+                // LCG spreading times over ~1.5 horizons with many collisions.
                 let r = i
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                (r >> 33) % (3 * SPAN_PS / 2)
+                (r >> 33) % (3 * HORIZON_PS / 2)
             })
             .collect();
         let mut q = EventQueue::new();
@@ -653,5 +673,90 @@ mod tests {
         }
         expect.sort_unstable(); // (time, seq) == (time, insertion index) here
         assert_eq!(drain_apps(&mut q), expect);
+    }
+
+    #[test]
+    fn physical_slots_wrap_over_several_horizons() {
+        // A hold model marching the clock across five horizons: each pop
+        // reschedules at offsets that land on every residue of the physical
+        // slot index, including ones below the open slot's (the wrap), just
+        // inside and just past the horizon. Order must match a (time, seq)
+        // reference throughout.
+        let slot = 1u64 << SLOT_SHIFT;
+        let offsets = [
+            0,
+            1,
+            slot - 1,
+            slot,
+            3 * slot + 17,
+            HORIZON_PS / 2 + 5,
+            HORIZON_PS - slot,
+            HORIZON_PS - 1,
+            HORIZON_PS,
+            HORIZON_PS + slot + 3,
+        ];
+        let mut q = EventQueue::new();
+        let mut model = BinaryHeap::new();
+        let mut seq = 0u32;
+        for &o in &offsets {
+            app(&mut q, o, seq);
+            model.push(Reverse((o, seq)));
+            seq += 1;
+        }
+        let mut i = 0usize;
+        let mut now = 0u64;
+        while now < 5 * HORIZON_PS {
+            let e = q.pop().expect("hold model keeps events pending");
+            let Reverse(want) = model.pop().expect("model agrees on emptiness");
+            let EventKind::AppTimer { app: got, .. } = e.kind else {
+                unreachable!()
+            };
+            assert_eq!((e.time.as_ps(), got), want);
+            now = e.time.as_ps();
+            let at = now + offsets[i % offsets.len()] + (i as u64 * 7919) % slot;
+            i += 1;
+            app(&mut q, at, seq);
+            model.push(Reverse((at, seq)));
+            seq += 1;
+        }
+        let rest: Vec<_> = std::iter::from_fn(|| model.pop().map(|Reverse(x)| x)).collect();
+        assert_eq!(drain_apps(&mut q), rest);
+    }
+
+    #[test]
+    fn migrated_ladder_event_precedes_same_time_direct_staging() {
+        // Two events at `far` start in the ladder; popping a near event rolls
+        // the horizon over `far`'s slot and moves them into it. A third event
+        // at exactly `far`, scheduled afterwards, is staged directly into the
+        // same slot; seq order must still hold across the three.
+        let near = 10 * (1u64 << SLOT_SHIFT);
+        let far = HORIZON_PS + near - 1;
+        let mut q = EventQueue::new();
+        app(&mut q, far, 1);
+        app(&mut q, far, 2);
+        app(&mut q, near, 0);
+        assert_eq!(q.ladder.len(), 2, "both far events start in the ladder");
+        assert_eq!(q.pop().unwrap().time.as_ps(), near);
+        assert!(q.ladder.is_empty(), "the rolled horizon covers far's slot");
+        app(&mut q, far, 3);
+        assert!(q.ladder.is_empty(), "the tie is staged directly");
+        assert_eq!(drain_apps(&mut q), vec![(far, 1), (far, 2), (far, 3)]);
+    }
+
+    #[test]
+    fn pop_if_at_stops_at_the_end_of_the_open_slot() {
+        // The open slot is exhausted and the next slot holds events: the
+        // batch path answers None without advancing, and pop moves on.
+        let slot = 1u64 << SLOT_SHIFT;
+        let mut q = EventQueue::new();
+        app(&mut q, 5, 0);
+        app(&mut q, slot, 1);
+        app(&mut q, slot, 2);
+        let t = SimTime::from_ps(5);
+        assert_eq!(q.pop().unwrap().time, t);
+        assert!(q.pop_if_at(t).is_none());
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(SimTime::from_ps(slot)));
+        assert_eq!(drain_apps(&mut q), vec![(slot, 1), (slot, 2)]);
     }
 }

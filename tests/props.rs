@@ -433,26 +433,30 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Calendar event queue vs. reference binary-heap model
+// Timing-wheel event queue vs. reference binary-heap model
 // ---------------------------------------------------------------------
 
-use pnet::htsim::event::{Event, EventKind, EventQueue};
+use pnet::htsim::event::{Event, EventKind, EventQueue, HORIZON_PS, SLOT_SHIFT};
 use pnet::htsim::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+const SLOT_PS: u64 = 1 << SLOT_SHIFT;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The calendar/ladder queue must pop the exact sequence a binary heap
-    /// ordered by (time, insertion seq) would: same times, same identities,
-    /// for any interleaving of schedules and pops. AppTimer tags carry the
-    /// identity; they double as the model's tie-break because they are
-    /// assigned in schedule order. Offsets are relative to the time of the
-    /// most recently popped event ("now"), mirroring the simulator's
+    /// The timing-wheel/ladder queue must pop the exact sequence a binary
+    /// heap ordered by (time, insertion seq) would: same times, same
+    /// identities, for any interleaving of schedules and pops. AppTimer tags
+    /// carry the identity; they double as the model's tie-break because they
+    /// are assigned in schedule order. Offsets are relative to the time of
+    /// the most recently popped event ("now"), mirroring the simulator's
     /// invariant that nothing is scheduled in the past, and span same-slot
-    /// (< 2^14 ps), same-window (< ~67 us), and far-future (overflow ladder)
-    /// distances.
+    /// (< `2^SLOT_SHIFT` ps), in-horizon (< `HORIZON_PS`), and far-future
+    /// (overflow ladder) distances, plus exact same-timestamp ties and times
+    /// within two slots either side of the horizon measured from the open
+    /// slot, where ladder events move into the wheel.
     #[test]
     fn calendar_queue_matches_binary_heap_model(
         seed in 0u64..400,
@@ -465,6 +469,7 @@ proptest! {
         let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut now = 0u64;
         let mut next_tag = 0u64;
+        let mut last_at = 0u64;
 
         let check_pop = |got: Option<Event>, want: Option<(u64, u64)>|
          -> Result<Option<u64>, TestCaseError> {
@@ -486,8 +491,8 @@ proptest! {
         };
 
         for _ in 0..n_ops {
-            match rng.random_range(0..10u32) {
-                // Schedule: slot-, window-, and ladder-scale offsets.
+            match rng.random_range(0..13u32) {
+                // Schedule: slot-, horizon-, and ladder-scale offsets.
                 roll @ 0..=5 => {
                     let offset = match roll {
                         0 | 1 => rng.random_range(0..100_000u64),
@@ -500,6 +505,27 @@ proptest! {
                         EventKind::AppTimer { app: 0, tag: next_tag },
                     );
                     model.push(Reverse((at, next_tag)));
+                    last_at = at;
+                    next_tag += 1;
+                }
+                // Schedule: sub-slot offsets, exact ties with the previous
+                // schedule (or with now), and the edge of the horizon.
+                roll @ 10..=12 => {
+                    let at = match roll {
+                        10 => now + rng.random_range(0..SLOT_PS),
+                        11 => last_at.max(now),
+                        _ => {
+                            let open_slot = now & !(SLOT_PS - 1);
+                            open_slot + HORIZON_PS - 2 * SLOT_PS
+                                + rng.random_range(0..5 * SLOT_PS)
+                        }
+                    };
+                    q.schedule(
+                        SimTime::from_ps(at),
+                        EventKind::AppTimer { app: 0, tag: next_tag },
+                    );
+                    model.push(Reverse((at, next_tag)));
+                    last_at = at;
                     next_tag += 1;
                 }
                 6..=8 => {
